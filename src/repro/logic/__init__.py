@@ -16,12 +16,14 @@ from repro.logic.truthtable import (
     tt_const0,
     tt_const1,
     tt_var,
+    tt_projections,
     tt_not,
     tt_and,
     tt_or,
     tt_xor,
     tt_cofactor,
     tt_support,
+    tt_depends_on,
     tt_count_ones,
     tt_eval,
     tt_from_function,
@@ -38,12 +40,14 @@ __all__ = [
     "tt_const0",
     "tt_const1",
     "tt_var",
+    "tt_projections",
     "tt_not",
     "tt_and",
     "tt_or",
     "tt_xor",
     "tt_cofactor",
     "tt_support",
+    "tt_depends_on",
     "tt_count_ones",
     "tt_eval",
     "tt_from_function",

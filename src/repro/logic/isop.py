@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from repro.errors import TruthTableError
 from repro.logic.truthtable import (
     TruthTable,
-    tt_cofactor,
+    tt_depends_on,
     tt_mask,
     tt_not,
+    tt_projections,
     tt_var,
 )
 
@@ -99,9 +100,8 @@ def isop(lower: TruthTable, upper: TruthTable, nvars: int) -> list[Cube]:
     upper &= mask
     if lower & ~upper & mask:
         raise TruthTableError("isop requires lower <= upper")
-    cover, cubes = _isop_rec(lower, upper, nvars, nvars)
-    del cover
-    return cubes
+    _, cubes = _isop_rec(lower, upper, nvars, mask, tt_projections(nvars))
+    return [Cube(pos_mask, neg_mask) for pos_mask, neg_mask in cubes]
 
 
 def isop_cube_count(function: TruthTable, nvars: int) -> int:
@@ -109,57 +109,61 @@ def isop_cube_count(function: TruthTable, nvars: int) -> int:
     return len(isop(function, function, nvars))
 
 
-def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int,
-              nvars: int) -> tuple[TruthTable, list[Cube]]:
+def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int, mask: int,
+              projections: tuple[TruthTable, ...],
+              ) -> tuple[TruthTable, list[tuple[int, int]]]:
     """Recursive Minato--Morreale step.
 
     ``top_var`` is the number of variables still eligible for splitting; the
     split variable is always the highest-indexed one that the bounds depend
-    on, which keeps the recursion depth bounded by ``nvars``.
+    on, which keeps the recursion depth bounded by the variable count.  The
+    bounds are already masked to ``mask``; cubes come back as
+    ``(pos_mask, neg_mask)`` pairs and become :class:`Cube` objects once, in
+    :func:`isop`.
     """
-    mask = tt_mask(nvars)
     if lower == 0:
         return 0, []
     if upper == mask:
-        return mask, [Cube(0, 0)]
+        return mask, [(0, 0)]
 
     # Find the splitting variable: the highest variable on which either bound
     # depends.  Both bounds constant would have been caught above.
-    split = -1
-    for var in range(top_var - 1, -1, -1):
-        if (tt_cofactor(lower, var, 0, nvars) != tt_cofactor(lower, var, 1, nvars)
-                or tt_cofactor(upper, var, 0, nvars) != tt_cofactor(upper, var, 1, nvars)):
-            split = var
+    for split in range(top_var - 1, -1, -1):
+        if (tt_depends_on(lower, split, projections)
+                or tt_depends_on(upper, split, projections)):
             break
-    if split < 0:
+    else:
         # Bounds are constants not handled above: lower != 0 and upper != 1
         # cannot both hold for constants, so lower must be 0 here.
         return 0, []
 
-    lower0 = tt_cofactor(lower, split, 0, nvars)
-    lower1 = tt_cofactor(lower, split, 1, nvars)
-    upper0 = tt_cofactor(upper, split, 0, nvars)
-    upper1 = tt_cofactor(upper, split, 1, nvars)
+    # Cofactors: the projection of `split` (or its complement) selects one
+    # half, which is then shifted onto the other half.
+    shift = 1 << split
+    positive = projections[split]
+    negative = mask ^ positive
+    lower0 = lower & negative
+    lower0 |= lower0 << shift
+    lower1 = lower & positive
+    lower1 |= lower1 >> shift
+    upper0 = upper & negative
+    upper0 |= upper0 << shift
+    upper1 = upper & positive
+    upper1 |= upper1 >> shift
 
     # Cubes that must contain the negative literal of `split`.
-    cover0, cubes0 = _isop_rec(lower0 & tt_not(upper1, nvars), upper0, split, nvars)
+    cover0, cubes0 = _isop_rec(lower0 & ~upper1, upper0, split, mask, projections)
     # Cubes that must contain the positive literal of `split`.
-    cover1, cubes1 = _isop_rec(lower1 & tt_not(upper0, nvars), upper1, split, nvars)
+    cover1, cubes1 = _isop_rec(lower1 & ~upper0, upper1, split, mask, projections)
 
     # Remaining minterms handled by cubes independent of `split`.
-    rest_lower = (lower0 & tt_not(cover0, nvars)) | (lower1 & tt_not(cover1, nvars))
-    cover2, cubes2 = _isop_rec(rest_lower, upper0 & upper1, split, nvars)
+    rest_lower = (lower0 & ~cover0) | (lower1 & ~cover1)
+    cover2, cubes2 = _isop_rec(rest_lower, upper0 & upper1, split, mask,
+                               projections)
 
     var_bit = 1 << split
-    result_cubes = []
-    for cube in cubes0:
-        result_cubes.append(Cube(cube.pos_mask, cube.neg_mask | var_bit))
-    for cube in cubes1:
-        result_cubes.append(Cube(cube.pos_mask | var_bit, cube.neg_mask))
-    result_cubes.extend(cubes2)
-
-    var_table = tt_var(split, nvars)
-    cover = ((cover0 & tt_not(var_table, nvars))
-             | (cover1 & var_table)
-             | cover2) & mask
+    result_cubes = [(pos_mask, neg_mask | var_bit) for pos_mask, neg_mask in cubes0]
+    result_cubes += [(pos_mask | var_bit, neg_mask) for pos_mask, neg_mask in cubes1]
+    result_cubes += cubes2
+    cover = (cover0 & negative) | (cover1 & positive) | cover2
     return cover, result_cubes

@@ -52,7 +52,7 @@ class Sop:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class FactoredNode:
     """A node of a factored Boolean expression tree.
 
@@ -109,38 +109,38 @@ def factor_sop(sop: Sop) -> FactoredNode:
     return _factor_cubes(sop.cubes, sop.nvars)
 
 
-def _literal_key(var: int, negated: bool) -> int:
-    """Encode a literal as an integer key (2*var + negated)."""
-    return var * 2 + (1 if negated else 0)
-
-
-def _cube_literal_keys(cube: Cube) -> set[int]:
-    return {_literal_key(var, neg) for var, neg in cube.literals()}
-
-
 def _most_common_literal(cubes: list[Cube]) -> int | None:
     """Return the literal key appearing in the most cubes (ties broken by key).
 
-    Only literals appearing in at least two cubes are useful divisors.
+    A literal's key is ``2 * var + negated``.  Only literals appearing in at
+    least two cubes are useful divisors.  Counts come from the cubes'
+    ``pos_mask``/``neg_mask`` bits, one column per literal present.
     """
-    counts: dict[int, int] = {}
-    for cube in cubes:
-        for key in _cube_literal_keys(cube):
-            counts[key] = counts.get(key, 0) + 1
+    pos_masks = [cube.pos_mask for cube in cubes]
+    neg_masks = [cube.neg_mask for cube in cubes]
+    pos_union = neg_union = 0
+    for mask in pos_masks:
+        pos_union |= mask
+    for mask in neg_masks:
+        neg_union |= mask
     best_key = None
     best_count = 1
-    for key in sorted(counts):
-        if counts[key] > best_count:
-            best_key = key
-            best_count = counts[key]
+    present = pos_union | neg_union
+    var = 0
+    while present >> var:
+        bit = 1 << var
+        # Keys ascend as (var, positive), (var, negative), so a strictly
+        # larger count is what moves the choice: the smallest key wins ties.
+        if pos_union & bit:
+            count = sum(1 for mask in pos_masks if mask & bit)
+            if count > best_count:
+                best_key, best_count = 2 * var, count
+        if neg_union & bit:
+            count = sum(1 for mask in neg_masks if mask & bit)
+            if count > best_count:
+                best_key, best_count = 2 * var + 1, count
+        var += 1
     return best_key
-
-
-def _remove_literal(cube: Cube, key: int) -> Cube:
-    var, negated = divmod(key, 2)
-    if negated:
-        return Cube(cube.pos_mask, cube.neg_mask & ~(1 << var))
-    return Cube(cube.pos_mask & ~(1 << var), cube.neg_mask)
 
 
 def _cube_to_node(cube: Cube) -> FactoredNode:
@@ -161,11 +161,12 @@ def _factor_cubes(cubes: list[Cube], nvars: int) -> FactoredNode:
         return FactoredNode.disj([_cube_to_node(cube) for cube in cubes])
 
     var, negated = divmod(divisor_key, 2)
+    pos_bit, neg_bit = (0, 1 << var) if negated else (1 << var, 0)
     quotient = []
     remainder = []
     for cube in cubes:
-        if divisor_key in _cube_literal_keys(cube):
-            quotient.append(_remove_literal(cube, divisor_key))
+        if cube.pos_mask & pos_bit or cube.neg_mask & neg_bit:
+            quotient.append(Cube(cube.pos_mask & ~pos_bit, cube.neg_mask & ~neg_bit))
         else:
             remainder.append(cube)
 

@@ -4,8 +4,17 @@ A truth table over ``nvars`` variables is an integer with ``2**nvars``
 meaningful bits.  Bit ``i`` stores the value of the function on the input
 minterm whose binary encoding is ``i`` (variable 0 is the least-significant
 bit of the minterm index).  Python's arbitrary-precision integers make this
-representation exact for any practical cut size (we use up to 16 variables
-for refactoring cones).
+representation exact for any width up to ``_MAX_VARS`` (20); refactoring
+cones use at most 10 variables.
+
+The kernels are table-driven, in the style of ABC's ``s_Truths6`` and
+kitty's projection functions.  :func:`tt_projections` holds, per width, the
+projection table of every variable (``tt_var(i, n)`` for all ``i``).  A
+width's tuple is built lazily, on its first use, by doubling the tuples of
+the width below: every projection ``p`` of ``n - 1`` variables becomes
+``p | p << 2**(n-1)`` and the new top variable is the upper half of the
+mask.  Variable tables, cofactor selectors and dependency tests are then a
+lookup plus one shift/mask expression each, never a per-call bit loop.
 
 Every function takes the variable count explicitly; results are always masked
 to the proper width so callers can compose operations freely.
@@ -36,6 +45,40 @@ def _check_nvars(nvars: int) -> None:
 _MASKS: tuple[int, ...] = tuple((1 << (1 << n)) - 1 for n in range(_MAX_VARS + 1))
 
 
+#: ``_PROJECTIONS[n]`` is ``(tt_var(0, n), ..., tt_var(n - 1, n))``, or None
+#: until width ``n`` is first used (see :func:`tt_projections`).
+_PROJECTIONS: list[tuple[int, ...] | None] = [()] + [None] * _MAX_VARS
+
+
+def tt_projections(nvars: int) -> tuple[TruthTable, ...]:
+    """Return the projection tables ``tt_var(i, nvars)`` for every ``i``.
+
+    The tuple is built on the first request for ``nvars`` (and, recursively,
+    for every smaller width not built yet) and cached for the process.
+    """
+    _check_nvars(nvars)
+    projections = _PROJECTIONS[nvars]
+    if projections is None:
+        half = 1 << (nvars - 1)
+        below = tt_projections(nvars - 1)
+        projections = tuple(table | table << half for table in below) \
+            + (_MASKS[nvars - 1] << half,)
+        _PROJECTIONS[nvars] = projections
+    return projections
+
+
+def tt_depends_on(table: TruthTable, var: int,
+                  projections: tuple[TruthTable, ...]) -> int:
+    """Return non-zero iff ``table`` depends on variable ``var``.
+
+    ``projections`` is :func:`tt_projections` of the table's width, and
+    ``table`` must be masked to that width.  Shifting by ``2**var`` lines
+    every minterm with ``var = 1`` up against its ``var = 0`` partner; the
+    XOR, restricted to the ``var = 0`` positions, flags the pairs that differ.
+    """
+    return ((table >> (1 << var)) ^ table) & ~projections[var]
+
+
 def tt_mask(nvars: int) -> TruthTable:
     """Return the all-ones mask for a truth table over ``nvars`` variables."""
     _check_nvars(nvars)
@@ -58,17 +101,7 @@ def tt_var(index: int, nvars: int) -> TruthTable:
     _check_nvars(nvars)
     if not 0 <= index < nvars:
         raise TruthTableError(f"variable index {index} out of range for {nvars} vars")
-    # The table is a repeating pattern of `block` zeros followed by `block`
-    # ones, where block = 2**index.
-    block = 1 << index
-    period_pattern = ((1 << block) - 1) << block
-    table = 0
-    pos = 0
-    total_bits = 1 << nvars
-    while pos < total_bits:
-        table |= period_pattern << pos
-        pos += block * 2
-    return table & tt_mask(nvars)
+    return tt_projections(nvars)[index]
 
 
 def tt_not(table: TruthTable, nvars: int) -> TruthTable:
@@ -133,33 +166,22 @@ def tt_cofactor(table: TruthTable, var: int, value: int, nvars: int) -> TruthTab
     if not 0 <= var < nvars:
         raise TruthTableError(f"variable index {var} out of range for {nvars} vars")
     block = 1 << var
-    mask = tt_mask(nvars)
-    # Build a selector of the minterms where `var` equals `value`.
-    selector = 0
-    bits_per_period = block * 2
-    pattern_ones = ((1 << block) - 1) << (block if value else 0)
-    total_bits = 1 << nvars
-    pos = 0
-    while pos < total_bits:
-        selector |= pattern_ones << pos
-        pos += bits_per_period
-    selector &= mask
-    kept = table & selector
-    # Smear the kept half onto the other half so the result ignores `var`.
+    # The projection of `var` selects the minterms where it is 1, its
+    # complement those where it is 0; the kept half is then smeared onto the
+    # other half so the result ignores `var`.
+    projection = tt_projections(nvars)[var]
     if value:
-        other = kept >> block
-    else:
-        other = kept << block
-    return (kept | other) & mask
+        kept = table & projection
+        return kept | kept >> block
+    kept = table & (_MASKS[nvars] ^ projection)
+    return kept | kept << block
 
 
 def tt_support(table: TruthTable, nvars: int) -> list[int]:
     """Return the list of variables the function actually depends on."""
-    support = []
-    for var in range(nvars):
-        if tt_cofactor(table, var, 0, nvars) != tt_cofactor(table, var, 1, nvars):
-            support.append(var)
-    return support
+    projections = tt_projections(nvars)
+    table &= _MASKS[nvars]
+    return [var for var in range(nvars) if tt_depends_on(table, var, projections)]
 
 
 def tt_count_ones(table: TruthTable, nvars: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.aig.aig import AIG, lit_is_complemented, lit_var
-from repro.logic.truthtable import tt_expand, tt_mask, tt_var
+from repro.logic.truthtable import tt_expand, tt_mask, tt_projections, tt_var
 
 #: Truth table of a trivial (unit, identity) cut: variable 0 over 1 input.
 _TRIVIAL_TABLE = tt_var(0, 1)
@@ -203,10 +203,11 @@ def reconvergence_cut(aig: AIG, root: int, max_leaves: int = 10) -> tuple[int, .
             if not aig.is_and(leaf):
                 continue
             lit0, lit1 = aig.fanins(leaf)
-            fanin_vars = {lit_var(lit0), lit_var(lit1)}
-            new_leaves = (leaves - {leaf}) | fanin_vars
-            increase = len(new_leaves) - len(leaves)
-            if len(new_leaves) > max_leaves:
+            # Replacing `leaf` by its fanins (never `leaf` itself: fanins
+            # precede their node) adds each fanin not yet a leaf.
+            var0, var1 = lit_var(lit0), lit_var(lit1)
+            increase = (var0 not in leaves) + (var1 != var0 and var1 not in leaves) - 1
+            if len(leaves) + increase > max_leaves:
                 continue
             if best_increase is None or increase < best_increase:
                 best_increase = increase
@@ -229,8 +230,7 @@ def cone_truth_table(aig: AIG, root: int, leaves: tuple[int, ...]) -> int:
     treated as free variables ordered by their position in ``leaves``.
     """
     nvars = len(leaves)
-    positions = {leaf: index for index, leaf in enumerate(leaves)}
-    cache: dict[int, int] = {leaf: tt_var(positions[leaf], nvars) for leaf in leaves}
+    cache: dict[int, int] = dict(zip(leaves, tt_projections(nvars)))
     mask = tt_mask(nvars)
 
     def table_of(var: int) -> int:

@@ -11,6 +11,7 @@ frees more AND nodes than it adds.  This mirrors ABC's ``refactor`` command
 from __future__ import annotations
 
 from repro.aig.aig import AIG, lit_var
+from repro.logic.sop import FactoredNode
 from repro.logic.truthtable import tt_mask
 from repro.synthesis.cuts import cone_truth_table, reconvergence_cut
 from repro.synthesis.resynth import (
@@ -33,6 +34,9 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
     """
     fanout_counts = aig.fanout_counts()
     pass_state = ReplacementPass(aig)
+    graph = pass_state.aig
+    # Cone functions repeat across a netlist; factor each one once per call.
+    structure_cache: dict[tuple[int, int], FactoredNode] = {}
 
     for var in aig.and_vars():
         lit0, lit1 = aig.fanins(var)
@@ -48,17 +52,21 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
                 nvars = len(leaves)
                 table = cone_truth_table(aig, var, leaves) & tt_mask(nvars)
                 if table not in (0, tt_mask(nvars)):
-                    tree = factored_form(table, nvars)
+                    cache_key = (nvars, table)
+                    tree = structure_cache.get(cache_key)
+                    if tree is None:
+                        tree = factored_form(table, nvars)
+                        structure_cache[cache_key] = tree
                     leaf_literals = [pass_state.resolve(leaf * 2) for leaf in leaves]
-                    added = count_new_nodes(aig, tree, leaf_literals)
+                    added = count_new_nodes(graph, tree, leaf_literals)
                     gain = freed - added
                     threshold = 0 if allow_zero_gain else 1
                     if gain >= threshold:
-                        replacement = build_factored(aig, tree, leaf_literals)
+                        replacement = build_factored(graph, tree, leaf_literals)
 
         if replacement is not None and lit_var(replacement) != var:
             pass_state.replace(var, replacement)
         elif fanins_changed:
-            pass_state.replace(var, aig.add_and(resolved0, resolved1))
+            pass_state.replace(var, graph.add_and(resolved0, resolved1))
 
     return pass_state.finalize()

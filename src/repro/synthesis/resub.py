@@ -44,7 +44,7 @@ def resub(aig: AIG, max_leaves: int = 8, max_divisors: int = 20,
         if replacement is not None and lit_var(replacement) != var:
             pass_state.replace(var, replacement)
         elif fanins_changed:
-            pass_state.replace(var, aig.add_and(resolved0, resolved1))
+            pass_state.replace(var, pass_state.aig.add_and(resolved0, resolved1))
 
     return pass_state.finalize()
 
@@ -101,6 +101,7 @@ def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
         return None
 
     # 1-resub: the node equals AND/OR of two divisors in some polarity.
+    graph = pass_state.aig
     for (div_a, table_a), (div_b, table_b) in combinations(divisor_tables.items(), 2):
         for comp_a in (False, True):
             for comp_b in (False, True):
@@ -109,9 +110,9 @@ def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
                 if (term_a & term_b) == target:
                     lit_a = divisor_literal(div_a, comp_a)
                     lit_b = divisor_literal(div_b, comp_b)
-                    return aig.add_and(lit_a, lit_b)
+                    return graph.add_and(lit_a, lit_b)
                 if (term_a | term_b) == target:
                     lit_a = divisor_literal(div_a, comp_a)
                     lit_b = divisor_literal(div_b, comp_b)
-                    return lit_not(aig.add_and(lit_not(lit_a), lit_not(lit_b)))
+                    return lit_not(graph.add_and(lit_not(lit_a), lit_not(lit_b)))
     return None

@@ -158,17 +158,19 @@ def cut_cone_gain(aig: AIG, root: int, leaves: tuple[int, ...],
 
 
 class ReplacementPass:
-    """Bookkeeping for one in-place replacement pass over an AIG.
+    """Bookkeeping for one replacement pass over an AIG.
 
-    The pass appends replacement structures to the same AIG and records a
-    variable-to-literal substitution map.  :meth:`resolve` translates any
+    The pass owns :attr:`aig`, a copy of the input (same node numbering and
+    strash table), into which the operation builds its replacement
+    structures, so the caller's graph is never mutated.  It records a
+    variable-to-literal substitution map: :meth:`resolve` translates any
     original literal into its current replacement (following chains), and
     :meth:`finalize` rebuilds a clean AIG with the substitutions applied to
     every primary output.
     """
 
     def __init__(self, aig: AIG) -> None:
-        self.aig = aig
+        self.aig = aig.copy()
         self._substitution: dict[int, int] = {}
 
     def resolve(self, literal: int) -> int:

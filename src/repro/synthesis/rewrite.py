@@ -11,7 +11,8 @@ free, and only the fanout-free part of the old cone counts as freed.
 from __future__ import annotations
 
 from repro.aig.aig import AIG, lit_var
-from repro.logic.truthtable import tt_mask, tt_var
+from repro.logic.sop import FactoredNode
+from repro.logic.truthtable import tt_mask
 from repro.synthesis.cuts import enumerate_cuts
 from repro.synthesis.resynth import (
     ReplacementPass,
@@ -33,7 +34,8 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
     cuts = enumerate_cuts(aig, k=cut_size, max_cuts=max_cuts)
     fanout_counts = aig.fanout_counts()
     pass_state = ReplacementPass(aig)
-    structure_cache: dict[tuple[int, int], object] = {}
+    graph = pass_state.aig
+    structure_cache: dict[tuple[int, int], FactoredNode] = {}
 
     for var in aig.and_vars():
         lit0, lit1 = aig.fanins(var)
@@ -58,16 +60,16 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
                 tree = factored_form(table, nvars)
                 structure_cache[cache_key] = tree
             leaf_literals = [pass_state.resolve(leaf * 2) for leaf in cut.leaves]
-            added = count_new_nodes(aig, tree, leaf_literals)
+            added = count_new_nodes(graph, tree, leaf_literals)
             freed = cut_cone_gain(aig, var, cut.leaves, fanout_counts)
             gain = freed - added
             if gain >= best_gain:
                 best_gain = gain
-                best_literal = build_factored(aig, tree, leaf_literals)
+                best_literal = build_factored(graph, tree, leaf_literals)
 
         if best_literal is not None and lit_var(best_literal) != var:
             pass_state.replace(var, best_literal)
         elif fanins_changed:
-            pass_state.replace(var, aig.add_and(resolved0, resolved1))
+            pass_state.replace(var, graph.add_and(resolved0, resolved1))
 
     return pass_state.finalize()
