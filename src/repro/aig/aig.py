@@ -20,7 +20,7 @@ applies the usual trivial simplifications (``x & 0 = 0``, ``x & 1 = x``,
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 
 from repro.errors import AigError
 
@@ -324,29 +324,49 @@ class AIG:
                         stack.append(fanin_var)
         return visited
 
-    def mffc_size(self, var: int, fanout_counts: list[int] | None = None) -> int:
+    def mffc_size(self, var: int, fanout_counts: list[int] | None = None,
+                  leaves: Collection[int] = ()) -> int:
         """Return the size of the maximum fanout-free cone rooted at ``var``.
 
         The MFFC is the set of AND nodes that would become dangling if ``var``
         were removed; it is the number of nodes a rewrite of ``var`` can save.
+        ``leaves`` bounds the cone: the walk stops at them as it does at
+        primary inputs.  ``fanout_counts`` (default: :meth:`fanout_counts`)
+        is dereferenced in place along the cone and then referenced back, as
+        ABC's deref/ref pair does, so it comes back unchanged and no
+        per-call copy of it is made.
         """
         if not self.is_and(var):
             return 0
         if fanout_counts is None:
             fanout_counts = self.fanout_counts()
-        reference = list(fanout_counts)
-        return self._deref_mffc(var, reference)
+        size = self._deref(var, fanout_counts, leaves)
+        self._ref(var, fanout_counts, leaves)
+        return size
 
-    def _deref_mffc(self, var: int, reference: list[int]) -> int:
+    def _deref(self, var: int, references: list[int],
+               leaves: Collection[int]) -> int:
+        """Dereference the fanins of ``var``; return the nodes freed, ``var`` included."""
         count = 1
-        lit0, lit1 = self.fanins(var)
-        for fanin_var in (lit_var(lit0), lit_var(lit1)):
-            if fanin_var == 0 or self._is_pi[fanin_var]:
+        for fanin in self._fanins[var]:
+            fanin_var = fanin >> 1
+            if self._fanins[fanin_var] is None or fanin_var in leaves:
                 continue
-            reference[fanin_var] -= 1
-            if reference[fanin_var] == 0:
-                count += self._deref_mffc(fanin_var, reference)
+            references[fanin_var] -= 1
+            if references[fanin_var] == 0:
+                count += self._deref(fanin_var, references, leaves)
         return count
+
+    def _ref(self, var: int, references: list[int],
+             leaves: Collection[int]) -> None:
+        """Undo :meth:`_deref`: re-reference exactly what it dereferenced."""
+        for fanin in self._fanins[var]:
+            fanin_var = fanin >> 1
+            if self._fanins[fanin_var] is None or fanin_var in leaves:
+                continue
+            if references[fanin_var] == 0:
+                self._ref(fanin_var, references, leaves)
+            references[fanin_var] += 1
 
     # ------------------------------------------------------------------ #
     # Copy / cleanup

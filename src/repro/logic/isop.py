@@ -6,10 +6,15 @@ and an upper bound ``U`` (both truth tables).  For a completely specified
 function ``f`` call ``isop(f, f, nvars)``.
 
 Cubes are returned as :class:`Cube` objects carrying two bit masks: one for
-positive literals and one for negative literals.  The cover of the complement
+positive literals and one for negative literals (:func:`isop_pairs` returns
+the bare ``(pos_mask, neg_mask)`` pairs).  The cover of the complement
 is obtained by calling :func:`isop` on the complemented bounds; the sum of the
 two cover sizes is the *branching complexity* used by the cost-customized LUT
 mapper (see :mod:`repro.mapping.cost`).
+
+The recursion narrows its tables as it descends: below a split on variable
+``s`` the bounds are ``2**s``-bit integers, and small subproblems repeated
+within one call are computed once.
 """
 
 from __future__ import annotations
@@ -18,11 +23,10 @@ from dataclasses import dataclass
 
 from repro.errors import TruthTableError
 from repro.logic.truthtable import (
+    _MASKS,
     TruthTable,
-    tt_depends_on,
     tt_mask,
     tt_not,
-    tt_projections,
     tt_var,
 )
 
@@ -95,75 +99,97 @@ def isop(lower: TruthTable, upper: TruthTable, nvars: int) -> list[Cube]:
     ``lower & ~upper == 0``.  The classic use is ``isop(f, f, nvars)`` for a
     completely specified function ``f``.
     """
+    return [Cube(pos_mask, neg_mask)
+            for pos_mask, neg_mask in isop_pairs(lower, upper, nvars)]
+
+
+def isop_pairs(lower: TruthTable, upper: TruthTable,
+               nvars: int) -> list[tuple[int, int]]:
+    """Return the cover of :func:`isop` as ``(pos_mask, neg_mask)`` pairs.
+
+    This is the form the factoring and cost code consume; it skips building
+    (and validating) one :class:`Cube` per product term.
+    """
     mask = tt_mask(nvars)
     lower &= mask
     upper &= mask
     if lower & ~upper & mask:
         raise TruthTableError("isop requires lower <= upper")
-    _, cubes = _isop_rec(lower, upper, nvars, mask, tt_projections(nvars))
-    return [Cube(pos_mask, neg_mask) for pos_mask, neg_mask in cubes]
+    _, cubes = _isop_rec(lower, upper, nvars, {})
+    return cubes
 
 
 def isop_cube_count(function: TruthTable, nvars: int) -> int:
     """Return the number of cubes in the ISOP cover of ``function``."""
-    return len(isop(function, function, nvars))
+    return len(isop_pairs(function, function, nvars))
 
 
-def _isop_rec(lower: TruthTable, upper: TruthTable, top_var: int, mask: int,
-              projections: tuple[TruthTable, ...],
+#: Subproblems of at most this many variables are memoised within one call.
+_MEMO_MAX_WIDTH = 5
+
+
+def _isop_rec(lower: TruthTable, upper: TruthTable, width: int,
+              memo: dict[tuple[int, int, int], tuple[TruthTable, list[tuple[int, int]]]],
               ) -> tuple[TruthTable, list[tuple[int, int]]]:
-    """Recursive Minato--Morreale step.
+    """Recursive Minato--Morreale step on ``2**width``-bit tables.
 
-    ``top_var`` is the number of variables still eligible for splitting; the
-    split variable is always the highest-indexed one that the bounds depend
-    on, which keeps the recursion depth bounded by the variable count.  The
-    bounds are already masked to ``mask``; cubes come back as
-    ``(pos_mask, neg_mask)`` pairs and become :class:`Cube` objects once, in
-    :func:`isop`.
+    The bounds depend on variables below ``width`` only, so they are kept
+    narrowed to that width (in the style of ABC's ``Kit_TruthIsop``).  The
+    split variable is the highest one either bound depends on; every
+    variable above it is dropped by halving the tables, and the cofactors
+    below the split ``s`` are the two ``2**s``-bit halves that remain.  The
+    cover comes back at ``width`` bits and the cubes as
+    ``(pos_mask, neg_mask)`` pairs.  ``memo`` lives for one top-level call,
+    so the list it returns is never shared with another call's.
     """
     if lower == 0:
         return 0, []
-    if upper == mask:
-        return mask, [(0, 0)]
+    full = _MASKS[width]
+    if upper == full:
+        return full, [(0, 0)]
+    memoised = width <= _MEMO_MAX_WIDTH
+    if memoised:
+        key = (lower, upper, width)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
 
-    # Find the splitting variable: the highest variable on which either bound
-    # depends.  Both bounds constant would have been caught above.
-    for split in range(top_var - 1, -1, -1):
-        if (tt_depends_on(lower, split, projections)
-                or tt_depends_on(upper, split, projections)):
+    # Find the splitting variable: the highest one on which either bound
+    # depends, i.e. whose two halves differ.  A bound that does not depend
+    # on the top variable is its low half repeated, so it narrows to that
+    # half.  Constant bounds were caught above, so some variable splits.
+    split = width
+    while True:
+        split -= 1
+        shift = 1 << split
+        half = _MASKS[split]
+        lower0 = lower & half
+        lower1 = lower >> shift
+        upper0 = upper & half
+        upper1 = upper >> shift
+        if lower0 != lower1 or upper0 != upper1:
             break
-    else:
-        # Bounds are constants not handled above: lower != 0 and upper != 1
-        # cannot both hold for constants, so lower must be 0 here.
-        return 0, []
-
-    # Cofactors: the projection of `split` (or its complement) selects one
-    # half, which is then shifted onto the other half.
-    shift = 1 << split
-    positive = projections[split]
-    negative = mask ^ positive
-    lower0 = lower & negative
-    lower0 |= lower0 << shift
-    lower1 = lower & positive
-    lower1 |= lower1 >> shift
-    upper0 = upper & negative
-    upper0 |= upper0 << shift
-    upper1 = upper & positive
-    upper1 |= upper1 >> shift
+        lower = lower0
+        upper = upper0
 
     # Cubes that must contain the negative literal of `split`.
-    cover0, cubes0 = _isop_rec(lower0 & ~upper1, upper0, split, mask, projections)
+    cover0, cubes0 = _isop_rec(lower0 & ~upper1, upper0, split, memo)
     # Cubes that must contain the positive literal of `split`.
-    cover1, cubes1 = _isop_rec(lower1 & ~upper0, upper1, split, mask, projections)
+    cover1, cubes1 = _isop_rec(lower1 & ~upper0, upper1, split, memo)
 
     # Remaining minterms handled by cubes independent of `split`.
     rest_lower = (lower0 & ~cover0) | (lower1 & ~cover1)
-    cover2, cubes2 = _isop_rec(rest_lower, upper0 & upper1, split, mask,
-                               projections)
+    cover2, cubes2 = _isop_rec(rest_lower, upper0 & upper1, split, memo)
 
     var_bit = 1 << split
     result_cubes = [(pos_mask, neg_mask | var_bit) for pos_mask, neg_mask in cubes0]
     result_cubes += [(pos_mask | var_bit, neg_mask) for pos_mask, neg_mask in cubes1]
     result_cubes += cubes2
-    cover = (cover0 & negative) | (cover1 & positive) | cover2
-    return cover, result_cubes
+    # Widen the `2**(split + 1)`-bit cover to `width` by repeating it.
+    cover = cover0 | cover2 | (cover1 | cover2) << shift
+    if split + 1 < width:
+        cover *= full // _MASKS[split + 1]
+    result = (cover, result_cubes)
+    if memoised:
+        memo[key] = result
+    return result

@@ -3,15 +3,21 @@
 The synthesis operations (:mod:`repro.synthesis.rewrite` and
 :mod:`repro.synthesis.refactor`) resynthesise a cut function by first
 computing an ISOP cover (:mod:`repro.logic.isop`), then factoring it
-algebraically with :func:`factor_sop`, and finally translating the factored
-form into AND/INV nodes.  The factoring used here is the classic
+algebraically with :func:`factor_cover`, and finally translating the
+factored form into AND/INV nodes.  The factoring used here is the classic
 "quick factor" style: repeatedly divide by the best single-literal divisor.
 It is not optimal but mirrors what fast industrial rewriting does and is
 sufficient to realise meaningful node savings.
+
+Factoring is bit-sliced: the cover's ``(pos_mask, neg_mask)`` pairs are
+transposed once into one bitset per literal (bit ``i`` set when cube ``i``
+holds the literal), and every subproblem is a bitset of active cubes, so
+counting a literal is a popcount and dividing by it is two ANDs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import TruthTableError
@@ -90,9 +96,10 @@ class FactoredNode:
         """Return the number of literal leaves in the expression tree."""
         if self.kind == "lit":
             return 1
-        if self.kind in ("const0", "const1"):
-            return 0
-        return sum(child.literal_count() for child in self.children)
+        count = 0
+        for child in self.children:  # constants have none
+            count += child.literal_count()
+        return count
 
 
 def factor_sop(sop: Sop) -> FactoredNode:
@@ -101,82 +108,122 @@ def factor_sop(sop: Sop) -> FactoredNode:
     The result is logically equivalent to the SOP (it is produced purely by
     algebraic division, never by Boolean manipulation).
     """
-    constant = sop.is_constant()
-    if constant == 0:
-        return FactoredNode(kind="const0")
-    if constant == 1:
-        return FactoredNode(kind="const1")
-    return _factor_cubes(sop.cubes, sop.nvars)
+    return factor_cover([(cube.pos_mask, cube.neg_mask) for cube in sop.cubes])
 
 
-def _most_common_literal(cubes: list[Cube]) -> int | None:
-    """Return the literal key appearing in the most cubes (ties broken by key).
+def factor_cover(cubes: Sequence[tuple[int, int]]) -> FactoredNode:
+    """Factor a cover given as ``(pos_mask, neg_mask)`` pairs.
 
-    A literal's key is ``2 * var + negated``.  Only literals appearing in at
-    least two cubes are useful divisors.  Counts come from the cubes'
-    ``pos_mask``/``neg_mask`` bits, one column per literal present.
+    The empty cover is constant 0 and a cover holding the tautology cube
+    ``(0, 0)`` is constant 1.  Anything else is quick-factored: the cover is
+    transposed once by :func:`_literal_columns`, and every subproblem is a
+    bitset of active cubes plus the variables divided out so far, so picking
+    a divisor is one popcount per shared literal and dividing is two ANDs.
     """
-    pos_masks = [cube.pos_mask for cube in cubes]
-    neg_masks = [cube.neg_mask for cube in cubes]
-    pos_union = neg_union = 0
-    for mask in pos_masks:
-        pos_union |= mask
-    for mask in neg_masks:
-        neg_union |= mask
-    best_key = None
-    best_count = 1
-    present = pos_union | neg_union
-    var = 0
-    while present >> var:
-        bit = 1 << var
-        # Keys ascend as (var, positive), (var, negative), so a strictly
-        # larger count is what moves the choice: the smallest key wins ties.
-        if pos_union & bit:
-            count = sum(1 for mask in pos_masks if mask & bit)
-            if count > best_count:
-                best_key, best_count = 2 * var, count
-        if neg_union & bit:
-            count = sum(1 for mask in neg_masks if mask & bit)
-            if count > best_count:
-                best_key, best_count = 2 * var + 1, count
-        var += 1
-    return best_key
-
-
-def _cube_to_node(cube: Cube) -> FactoredNode:
-    literals = [FactoredNode.literal(var, neg) for var, neg in cube.literals()]
-    return FactoredNode.conj(literals)
-
-
-def _factor_cubes(cubes: list[Cube], nvars: int) -> FactoredNode:
-    """Recursive quick-factoring over a cube list."""
     if not cubes:
         return FactoredNode(kind="const0")
-    if len(cubes) == 1:
-        return _cube_to_node(cubes[0])
+    if (0, 0) in cubes:
+        return FactoredNode(kind="const1")
+    return _factor_columns(cubes, _literal_columns(cubes), (1 << len(cubes)) - 1, 0)
 
-    divisor_key = _most_common_literal(cubes)
-    if divisor_key is None:
+
+def _literal_columns(cubes: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Transpose a cover into one cube bitset per literal.
+
+    Returns ``(key, column)`` pairs in ascending key order, where a literal's
+    key is ``2 * var + negated`` and bit ``i`` of ``column`` is set when cube
+    ``i`` contains the literal.  Literals in no cube are left out.
+    """
+    present = 0
+    for pos_mask, neg_mask in cubes:
+        present |= pos_mask | neg_mask
+    columns = [0] * (2 * present.bit_length())
+    bit = 1
+    for pos_mask, neg_mask in cubes:
+        while pos_mask:
+            low = pos_mask & -pos_mask
+            columns[2 * low.bit_length() - 2] |= bit
+            pos_mask ^= low
+        while neg_mask:
+            low = neg_mask & -neg_mask
+            columns[2 * low.bit_length() - 1] |= bit
+            neg_mask ^= low
+        bit <<= 1
+    return [(key, column) for key, column in enumerate(columns) if column]
+
+
+def _most_common_literal(columns: list[tuple[int, int]], active: int,
+                         ) -> tuple[tuple[int, int] | None, list[tuple[int, int]]]:
+    """Pick the literal in the most ``active`` cubes: ``(best, shared)``.
+
+    ``columns`` holds ``(key, column)`` pairs in ascending key order (see
+    :func:`_literal_columns`) and ``active`` selects the cubes of the current
+    subproblem.  Only literals shared by at least two cubes are useful
+    divisors: ``shared`` lists them, columns restricted to ``active``, and
+    ``best`` is the one with the largest count, the smallest key winning
+    ties (None when nothing is shared).  Subproblems only ever narrow the
+    active set, so ``shared`` is all a subproblem needs to look at.
+    """
+    best = None
+    best_count = 1
+    shared = []
+    for key, column in columns:
+        column &= active
+        count = column.bit_count()
+        if count > 1:
+            shared.append((key, column))
+            # Keys ascend, so only a strictly larger count moves the choice.
+            if count > best_count:
+                best, best_count = (key, column), count
+    return best, shared
+
+
+def _factor_columns(cubes: Sequence[tuple[int, int]],
+                    columns: list[tuple[int, int]], active: int,
+                    divided: int) -> FactoredNode:
+    """Factor the ``active`` cubes, ignoring the ``divided`` variables."""
+    if not active & (active - 1):
+        return _cube_to_node(cubes[active.bit_length() - 1], divided)
+
+    divisor, shared = _most_common_literal(columns, active)
+    if divisor is None:
         # No sharing: a flat OR of cube ANDs.
-        return FactoredNode.disj([_cube_to_node(cube) for cube in cubes])
+        nodes = []
+        while active:
+            low = active & -active
+            nodes.append(_cube_to_node(cubes[low.bit_length() - 1], divided))
+            active ^= low
+        return FactoredNode.disj(nodes)
 
-    var, negated = divmod(divisor_key, 2)
-    pos_bit, neg_bit = (0, 1 << var) if negated else (1 << var, 0)
-    quotient = []
-    remainder = []
-    for cube in cubes:
-        if cube.pos_mask & pos_bit or cube.neg_mask & neg_bit:
-            quotient.append(Cube(cube.pos_mask & ~pos_bit, cube.neg_mask & ~neg_bit))
-        else:
-            remainder.append(cube)
-
-    divisor_node = FactoredNode.literal(var, bool(negated))
-    quotient_node = _factor_cubes(quotient, nvars)
-    product = FactoredNode.conj([divisor_node, quotient_node])
+    key, quotient = divisor
+    var = key >> 1
+    remainder = active ^ quotient
+    divisor_node = FactoredNode("lit", var, bool(key & 1))
+    # Every quotient cube holds the divisor, so its column must not be
+    # picked again below; the opposite literal is in none of them.
+    quotient_columns = [entry for entry in shared if entry[0] != key]
+    quotient_node = _factor_columns(cubes, quotient_columns, quotient,
+                                    divided | 1 << var)
+    product = FactoredNode("and", children=[divisor_node, quotient_node])
     if not remainder:
         return product
-    remainder_node = _factor_cubes(remainder, nvars)
-    return FactoredNode.disj([product, remainder_node])
+    remainder_node = _factor_columns(cubes, shared, remainder, divided)
+    return FactoredNode("or", children=[product, remainder_node])
+
+
+def _cube_to_node(cube: tuple[int, int], divided: int) -> FactoredNode:
+    """Return the AND of ``cube``'s literals outside the ``divided`` variables."""
+    pos_mask, neg_mask = cube
+    pos_mask &= ~divided
+    neg_mask &= ~divided
+    literals = []
+    present = pos_mask | neg_mask
+    while present:
+        low = present & -present
+        literals.append(FactoredNode("lit", low.bit_length() - 1,
+                                     bool(neg_mask & low)))
+        present ^= low
+    return FactoredNode.conj(literals)
 
 
 def factored_to_tt(node: FactoredNode, nvars: int) -> TruthTable:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.logic.isop import isop
+from repro.logic.isop import isop_cube_count
 from repro.logic.truthtable import tt_mask
 
 
@@ -27,9 +27,8 @@ def branching_complexity(table: int, nvars: int) -> int:
     functions have complexity 1 (a single trivial "branch").
     """
     table &= tt_mask(nvars)
-    onset = len(isop(table, table, nvars))
-    complement = ~table & tt_mask(nvars)
-    offset = len(isop(complement, complement, nvars))
+    onset = isop_cube_count(table, nvars)
+    offset = isop_cube_count(~table & tt_mask(nvars), nvars)
     return max(1, onset + offset)
 
 

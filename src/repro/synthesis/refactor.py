@@ -11,15 +11,14 @@ frees more AND nodes than it adds.  This mirrors ABC's ``refactor`` command
 from __future__ import annotations
 
 from repro.aig.aig import AIG, lit_var
-from repro.logic.sop import FactoredNode
 from repro.logic.truthtable import tt_mask
 from repro.synthesis.cuts import cone_truth_table, reconvergence_cut
 from repro.synthesis.resynth import (
+    AndProgram,
     ReplacementPass,
     build_factored,
     count_new_nodes,
-    cut_cone_gain,
-    factored_form,
+    resynthesis_program,
 )
 
 
@@ -35,8 +34,7 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
     fanout_counts = aig.fanout_counts()
     pass_state = ReplacementPass(aig)
     graph = pass_state.aig
-    # Cone functions repeat across a netlist; factor each one once per call.
-    structure_cache: dict[tuple[int, int], FactoredNode] = {}
+    structure_cache: dict[tuple[int, int], AndProgram] = {}
 
     for var in aig.and_vars():
         lit0, lit1 = aig.fanins(var)
@@ -47,22 +45,18 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
         replacement = None
         leaves = reconvergence_cut(aig, var, max_leaves=max_leaves)
         if len(leaves) >= 2 and var not in leaves:
-            freed = cut_cone_gain(aig, var, leaves, fanout_counts)
+            freed = aig.mffc_size(var, fanout_counts, leaves)
             if freed >= min_cone_size:
                 nvars = len(leaves)
                 table = cone_truth_table(aig, var, leaves) & tt_mask(nvars)
                 if table not in (0, tt_mask(nvars)):
-                    cache_key = (nvars, table)
-                    tree = structure_cache.get(cache_key)
-                    if tree is None:
-                        tree = factored_form(table, nvars)
-                        structure_cache[cache_key] = tree
+                    program = resynthesis_program(structure_cache, table, nvars)
                     leaf_literals = [pass_state.resolve(leaf * 2) for leaf in leaves]
-                    added = count_new_nodes(graph, tree, leaf_literals)
+                    added = count_new_nodes(graph, program, leaf_literals)
                     gain = freed - added
                     threshold = 0 if allow_zero_gain else 1
                     if gain >= threshold:
-                        replacement = build_factored(graph, tree, leaf_literals)
+                        replacement = build_factored(graph, program, leaf_literals)
 
         if replacement is not None and lit_var(replacement) != var:
             pass_state.replace(var, replacement)

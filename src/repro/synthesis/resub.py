@@ -21,7 +21,7 @@ from itertools import combinations
 from repro.aig.aig import AIG, lit_not, lit_var
 from repro.logic.truthtable import tt_mask
 from repro.synthesis.cuts import cone_nodes, cone_truth_table, reconvergence_cut
-from repro.synthesis.resynth import ReplacementPass, cut_cone_gain
+from repro.synthesis.resynth import ReplacementPass
 
 
 def resub(aig: AIG, max_leaves: int = 8, max_divisors: int = 20,
@@ -57,7 +57,7 @@ def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
     leaves = reconvergence_cut(aig, var, max_leaves=max_leaves)
     if len(leaves) < 2 or var in leaves:
         return None
-    freed = cut_cone_gain(aig, var, leaves, fanout_counts)
+    freed = aig.mffc_size(var, fanout_counts, leaves)
     nvars = len(leaves)
     mask = tt_mask(nvars)
     target = cone_truth_table(aig, var, leaves) & mask

@@ -4,11 +4,12 @@ Both rewriting and refactoring follow the same template:
 
 1. pick a cut of a node and obtain the node's function over the cut leaves;
 2. resynthesise that function into a (hopefully smaller) AND/INV structure
-   via ISOP + algebraic factoring;
+   via ISOP + algebraic factoring, compiled once per function into a flat
+   :class:`AndProgram`;
 3. estimate the *gain*: the number of AND nodes of the original cone that
-   would become dangling, minus the number of genuinely new AND nodes the
-   replacement structure needs (nodes already present in the strash table are
-   free);
+   would become dangling (:meth:`AIG.mffc_size` bounded by the cut leaves),
+   minus the number of genuinely new AND nodes the replacement structure
+   needs (nodes already present in the strash table are free);
 4. if the gain is positive, build the structure and redirect all fanouts of
    the node to the new literal.
 
@@ -18,143 +19,160 @@ they choose cuts.
 
 from __future__ import annotations
 
-from repro.aig.aig import AIG, CONST0, CONST1, lit_is_complemented, lit_not, lit_var
-from repro.logic.sop import FactoredNode, Sop, factor_sop
-from repro.logic.truthtable import tt_mask
+from dataclasses import dataclass
+
+from repro.aig.aig import AIG, CONST0, lit_is_complemented, lit_not, lit_var
+from repro.logic.isop import isop_pairs
+from repro.logic.sop import FactoredNode, factor_cover
+from repro.logic.truthtable import tt_mask, tt_support
 
 
 def factored_form(table: int, nvars: int) -> FactoredNode:
     """Return a factored expression tree realising ``table`` over ``nvars`` inputs.
 
     Both polarities are factored and the cheaper one is kept (the complement
-    is realised by a top-level inversion, which is free in an AIG).
+    is realised by a top-level inversion, which is free in an AIG).  The
+    complement only wins with strictly fewer literals, so it is not factored
+    when a lower bound on its count already rules that out: every factored
+    form has a literal per support variable, and quick-factoring keeps every
+    distinct literal of the cover it divides.
     """
-    positive = factor_sop(Sop.from_truth_table(table, nvars))
-    negative = factor_sop(Sop.from_truth_table(~table & tt_mask(nvars), nvars))
-    if negative.literal_count() < positive.literal_count():
+    positive = factor_cover(isop_pairs(table, table, nvars))
+    positive_literals = positive.literal_count()
+    if positive_literals <= len(tt_support(table, nvars)):
+        return positive
+    complement = ~table & tt_mask(nvars)
+    negative_cubes = isop_pairs(complement, complement, nvars)
+    pos_union = neg_union = 0
+    for pos_mask, neg_mask in negative_cubes:
+        pos_union |= pos_mask
+        neg_union |= neg_mask
+    if positive_literals <= pos_union.bit_count() + neg_union.bit_count():
+        return positive
+    negative = factor_cover(negative_cubes)
+    if negative.literal_count() < positive_literals:
         return FactoredNode(kind="not", children=[negative])
     return positive
 
 
-def count_new_nodes(aig: AIG, tree: FactoredNode, leaf_literals: list[int]) -> int:
-    """Count the AND nodes that building ``tree`` would add to ``aig``.
+@dataclass(frozen=True, slots=True)
+class AndProgram:
+    """A factored structure compiled into a straight-line list of ANDs.
 
-    The tree is interpreted over ``leaf_literals`` (literal ``i`` stands for
-    tree variable ``i``).  Nodes already present in the structural-hash table
-    are not counted.  Nothing is added to the AIG.
+    Operands are encoded as ``2 * slot + complement``.  Slot 0 holds the
+    constant-0 literal, slots ``1..nvars`` the cut-leaf literals, and slot
+    ``nvars + 1 + i`` the result of step ``i``.  ``steps`` lists the
+    ``(operand0, operand1)`` pair of every AND in creation order (children
+    left to right, each AND/OR level paired up balanced), and ``output`` is
+    the operand computing the whole structure.
     """
-    counter = [0]
-    _trace_tree(aig, tree, leaf_literals, counter, build=False)
-    return counter[0]
+
+    steps: tuple[tuple[int, int], ...]
+    output: int
 
 
-def build_factored(aig: AIG, tree: FactoredNode, leaf_literals: list[int]) -> int:
-    """Materialise ``tree`` over ``leaf_literals`` in ``aig``; return the literal."""
-    counter = [0]
-    literal = _trace_tree(aig, tree, leaf_literals, counter, build=True)
-    assert literal is not None
-    return literal
+def compile_factored(tree: FactoredNode, nvars: int) -> AndProgram:
+    """Compile ``tree`` over ``nvars`` leaves into an :class:`AndProgram`.
 
-
-# A sentinel literal meaning "this sub-expression would require a node that
-# does not exist yet"; any operation involving it also counts as new.
-_UNKNOWN = -1
-
-
-def _trace_tree(aig: AIG, tree: FactoredNode, leaf_literals: list[int],
-                counter: list[int], build: bool) -> int:
-    if tree.kind == "const0":
-        return CONST0
-    if tree.kind == "const1":
-        return CONST1
-    if tree.kind == "lit":
-        literal = leaf_literals[tree.var]
-        return lit_not(literal) if tree.negated else literal
-    if tree.kind == "not":
-        inner = _trace_tree(aig, tree.children[0], leaf_literals, counter, build)
-        return inner if inner == _UNKNOWN else lit_not(inner)
-    if tree.kind == "and":
-        literals = [_trace_tree(aig, child, leaf_literals, counter, build)
-                    for child in tree.children]
-        return _trace_balanced(aig, literals, counter, build, is_and=True)
-    if tree.kind == "or":
-        literals = [_trace_tree(aig, child, leaf_literals, counter, build)
-                    for child in tree.children]
-        return _trace_balanced(aig, literals, counter, build, is_and=False)
-    raise ValueError(f"unknown factored-node kind {tree.kind!r}")
-
-
-def _trace_balanced(aig: AIG, literals: list[int], counter: list[int],
-                    build: bool, is_and: bool) -> int:
-    if not is_and:
-        literals = [lit_not(l) if l != _UNKNOWN else l for l in literals]
-    while len(literals) > 1:
-        next_level = []
-        for i in range(0, len(literals) - 1, 2):
-            next_level.append(_trace_and(aig, literals[i], literals[i + 1],
-                                         counter, build))
-        if len(literals) % 2:
-            next_level.append(literals[-1])
-        literals = next_level
-    result = literals[0]
-    if not is_and and result != _UNKNOWN:
-        result = lit_not(result)
-    return result
-
-
-def _trace_and(aig: AIG, a: int, b: int, counter: list[int], build: bool) -> int:
-    if a == _UNKNOWN or b == _UNKNOWN:
-        counter[0] += 1
-        return _UNKNOWN
-    if build:
-        before = aig.num_ands
-        literal = aig.add_and(a, b)
-        counter[0] += aig.num_ands - before
-        return literal
-    # Dry run: replicate add_and's simplification rules without mutating.
-    if a == CONST0 or b == CONST0:
-        return CONST0
-    if a == CONST1:
-        return b
-    if b == CONST1:
-        return a
-    if a == b:
-        return a
-    if a == lit_not(b):
-        return CONST0
-    key = (a, b) if a <= b else (b, a)
-    existing = aig._strash.get(key)
-    if existing is not None:
-        return existing * 2
-    counter[0] += 1
-    return _UNKNOWN
-
-
-def cut_cone_gain(aig: AIG, root: int, leaves: tuple[int, ...],
-                  fanout_counts: list[int]) -> int:
-    """Return the number of AND nodes freed if ``root`` were replaced.
-
-    This is the size of the maximum fanout-free cone of ``root`` restricted
-    to the cone above ``leaves``: nodes between the leaves and the root whose
-    only fanouts lie inside that cone.
+    AND/OR nodes become balanced AND trees, OR through De Morgan; constants
+    and inversions become operand complement bits.
     """
-    leaf_set = set(leaves)
-    reference = list(fanout_counts)
+    steps: list[tuple[int, int]] = []
+    first_step_slot = nvars + 1
 
-    def deref(var: int) -> int:
-        count = 1
-        lit0, lit1 = aig.fanins(var)
-        for fanin_var in (lit_var(lit0), lit_var(lit1)):
-            if fanin_var in leaf_set or not aig.is_and(fanin_var):
-                continue
-            reference[fanin_var] -= 1
-            if reference[fanin_var] == 0:
-                count += deref(fanin_var)
-        return count
+    def emit(node: FactoredNode) -> int:
+        kind = node.kind
+        if kind == "lit":
+            return 2 * (node.var + 1) + node.negated
+        if kind == "const0":
+            return 0
+        if kind == "const1":
+            return 1
+        if kind == "not":
+            return emit(node.children[0]) ^ 1
+        if kind not in ("and", "or"):
+            raise ValueError(f"unknown factored-node kind {kind!r}")
+        flip = kind == "or"
+        operands = [emit(child) ^ flip for child in node.children]
+        while len(operands) > 1:
+            paired = []
+            for i in range(0, len(operands) - 1, 2):
+                steps.append((operands[i], operands[i + 1]))
+                paired.append(2 * (first_step_slot + len(steps) - 1))
+            if len(operands) % 2:
+                paired.append(operands[-1])
+            operands = paired
+        return operands[0] ^ flip
 
-    if not aig.is_and(root):
-        return 0
-    return deref(root)
+    output = emit(tree)
+    return AndProgram(steps=tuple(steps), output=output)
+
+
+def resynthesis_program(cache: dict[tuple[int, int], AndProgram], table: int,
+                        nvars: int) -> AndProgram:
+    """Return the compiled structure for ``table``, memoised in ``cache``.
+
+    ``cache`` belongs to one operator call: cut functions repeat across a
+    netlist, so each is factored and compiled once per call.
+    """
+    key = (nvars, table)
+    program = cache.get(key)
+    if program is None:
+        program = compile_factored(factored_form(table, nvars), nvars)
+        cache[key] = program
+    return program
+
+
+def count_new_nodes(aig: AIG, program: AndProgram, leaf_literals: list[int]) -> int:
+    """Count the AND nodes that building ``program`` would add to ``aig``.
+
+    The program is interpreted over ``leaf_literals`` (literal ``i`` stands
+    for leaf ``i``).  Nodes already present in the structural-hash table are
+    not counted, and every AND over a not-yet-existing node counts as new.
+    Nothing is added to the AIG; the simplification rules are those of
+    :meth:`AIG.add_and`.
+    """
+    values = [CONST0, *leaf_literals]
+    append = values.append
+    strash = aig._strash
+    added = 0
+    for operand0, operand1 in program.steps:
+        a = values[operand0 >> 1]
+        b = values[operand1 >> 1]
+        if a < 0 or b < 0:
+            # Over a node that does not exist yet (-1): new as well.
+            added += 1
+            append(-1)
+            continue
+        a ^= operand0 & 1
+        b ^= operand1 & 1
+        if a > b:
+            a, b = b, a
+        if a < 2:
+            append(b if a else CONST0)
+        elif a == b:
+            append(a)
+        elif a ^ b == 1:
+            append(CONST0)
+        else:
+            existing = strash.get((a, b))
+            if existing is None:
+                added += 1
+                append(-1)
+            else:
+                append(existing << 1)
+    return added
+
+
+def build_factored(aig: AIG, program: AndProgram, leaf_literals: list[int]) -> int:
+    """Materialise ``program`` over ``leaf_literals`` in ``aig``; return the literal."""
+    values = [CONST0, *leaf_literals]
+    add_and = aig.add_and
+    for operand0, operand1 in program.steps:
+        values.append(add_and(values[operand0 >> 1] ^ (operand0 & 1),
+                              values[operand1 >> 1] ^ (operand1 & 1)))
+    output = program.output
+    return values[output >> 1] ^ (output & 1)
 
 
 class ReplacementPass:

@@ -11,15 +11,14 @@ free, and only the fanout-free part of the old cone counts as freed.
 from __future__ import annotations
 
 from repro.aig.aig import AIG, lit_var
-from repro.logic.sop import FactoredNode
 from repro.logic.truthtable import tt_mask
 from repro.synthesis.cuts import enumerate_cuts
 from repro.synthesis.resynth import (
+    AndProgram,
     ReplacementPass,
     build_factored,
     count_new_nodes,
-    cut_cone_gain,
-    factored_form,
+    resynthesis_program,
 )
 
 
@@ -35,7 +34,7 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
     fanout_counts = aig.fanout_counts()
     pass_state = ReplacementPass(aig)
     graph = pass_state.aig
-    structure_cache: dict[tuple[int, int], FactoredNode] = {}
+    structure_cache: dict[tuple[int, int], AndProgram] = {}
 
     for var in aig.and_vars():
         lit0, lit1 = aig.fanins(var)
@@ -54,18 +53,14 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
             # those are handled by constant propagation, not rewriting.
             if table in (0, tt_mask(nvars)):
                 continue
-            cache_key = (nvars, table)
-            tree = structure_cache.get(cache_key)
-            if tree is None:
-                tree = factored_form(table, nvars)
-                structure_cache[cache_key] = tree
+            program = resynthesis_program(structure_cache, table, nvars)
             leaf_literals = [pass_state.resolve(leaf * 2) for leaf in cut.leaves]
-            added = count_new_nodes(graph, tree, leaf_literals)
-            freed = cut_cone_gain(aig, var, cut.leaves, fanout_counts)
+            added = count_new_nodes(graph, program, leaf_literals)
+            freed = aig.mffc_size(var, fanout_counts, cut.leaves)
             gain = freed - added
             if gain >= best_gain:
                 best_gain = gain
-                best_literal = build_factored(graph, tree, leaf_literals)
+                best_literal = build_factored(graph, program, leaf_literals)
 
         if best_literal is not None and lit_var(best_literal) != var:
             pass_state.replace(var, best_literal)
