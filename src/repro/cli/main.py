@@ -22,12 +22,12 @@ from repro.aig.aig import AIG
 from repro.aig.aiger import load_aiger
 from repro.cnf.cnf import Cnf
 from repro.cnf.dimacs import parse_dimacs, write_dimacs_file
-from repro.core.pipeline import PIPELINES
+from repro.core.pipeline import (PIPELINE_ALIASES, PIPELINES,
+                                 canonical_pipeline, preprocess_aig)
 from repro.errors import ReproError
 from repro.obs import (
     Tracer,
     configure_logging,
-    get_tracer,
     read_trace,
     set_tracer,
     verbosity_level,
@@ -44,23 +44,9 @@ from repro.sat.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.sat.configs import SolverConfig, cadical_like, kissat_like
+from repro.sat.configs import CONFIG_PRESETS
 from repro.sat.solver import SolveResult
 from repro.synthesis.recipe import OPERATIONS, canonical_operation
-
-#: CLI spellings of the named pipelines (the registry uses the paper labels).
-PIPELINE_ALIASES = {
-    "baseline": "Baseline",
-    "comp": "Comp.",
-    "comp.": "Comp.",
-    "ours": "Ours",
-}
-
-CONFIG_PRESETS = {
-    "default": SolverConfig,
-    "kissat_like": kissat_like,
-    "cadical_like": cadical_like,
-}
 
 #: SAT-competition exit codes for ``solve``.  A tripped resource watchdog
 #: (``MEMOUT``) is an inconclusive result, like a timeout.
@@ -108,7 +94,7 @@ def load_input(path: str | Path) -> tuple[str, Cnf | AIG]:
 
 def resolve_pipeline(name: str) -> str:
     """Map a CLI pipeline spelling to its registry name."""
-    canonical = PIPELINE_ALIASES.get(name.lower())
+    canonical = canonical_pipeline(name)
     if canonical is None:
         raise CliError(
             f"unknown pipeline {name!r}; choose from "
@@ -246,7 +232,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     quiet = args.quiet
 
     _comment(f"repro solve {args.file}", quiet)
-    tracer = get_tracer()
     transform_time = 0.0
     pipeline_name = None
     recipe = None
@@ -255,10 +240,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         kwargs = pipeline_kwargs_from_args(args, pipeline_name)
         _comment(f"circuit: {instance.num_pis} PIs, {instance.num_pos} POs, "
                  f"{instance.num_ands} AND gates", quiet)
-        with tracer.span("preprocess", pipeline=pipeline_name,
-                         instance=str(args.file)) as span:
-            cnf, transform_time = PIPELINES[pipeline_name](instance, **kwargs)
-            span.set(num_vars=cnf.num_vars, num_clauses=cnf.num_clauses)
+        cnf, transform_time = preprocess_aig(instance, pipeline_name, kwargs,
+                                             instance=str(args.file))
         recipe = kwargs.get("recipe")
         _comment(f"pipeline {pipeline_name}: encoded in "
                  f"{transform_time:.3f} s", quiet)
@@ -440,13 +423,11 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     pipeline_name = resolve_pipeline(args.pipeline)
     kwargs = pipeline_kwargs_from_args(args, pipeline_name)
 
-    with get_tracer().span("preprocess", pipeline=pipeline_name,
-                           instance=str(args.file)) as span:
-        cnf, transform_time = PIPELINES[pipeline_name](instance, **kwargs)
-        span.set(num_vars=cnf.num_vars, num_clauses=cnf.num_clauses)
+    cnf, transform_time = preprocess_aig(instance, pipeline_name, kwargs,
+                                         instance=str(args.file))
 
     output = Path(args.output) if args.output else Path(
-        Path(args.file).stem + f".{args.pipeline.lower().rstrip('.')}.cnf")
+        Path(args.file).stem + f".{pipeline_name.lower().rstrip('.')}.cnf")
     comments = [
         f"generated by repro preprocess ({pipeline_name} pipeline)",
         f"source: {args.file}",
@@ -928,8 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     # forward leading options); this stub only makes it appear in --help.
     subparsers.add_parser(
         "bench", help="run a benchmark sweep (see 'repro bench --help')",
-        description="Forward to the parallel sweep runner "
-                    "(python -m repro.runner).",
+        description="Run a benchmark sweep on the parallel batch runner.",
         add_help=False)
 
     info = subparsers.add_parser(

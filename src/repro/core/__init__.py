@@ -12,8 +12,6 @@ from repro.core.preprocess import PreprocessResult, Preprocessor
 from repro.core.results import InstanceRun, RunSet
 from repro.core.pipeline import (
     PIPELINES,
-    PipelineComparison,
-    PipelineSpec,
     baseline_pipeline,
     comp_pipeline,
     ours_pipeline,
@@ -23,10 +21,8 @@ from repro.core.pipeline import (
 __all__ = [
     "Preprocessor",
     "PreprocessResult",
-    "PipelineSpec",
     "InstanceRun",
     "RunSet",
-    "PipelineComparison",
     "PIPELINES",
     "baseline_pipeline",
     "comp_pipeline",

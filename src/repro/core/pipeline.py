@@ -20,15 +20,16 @@ arguments through ``pipeline_kwargs`` (e.g. ``lut_size`` or an explicit
 from __future__ import annotations
 
 import logging
+import os
 import time
-from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.aig.aig import AIG
 from repro.cnf.cnf import Cnf
+from repro.cnf.dimacs import write_dimacs_file
 from repro.cnf.tseitin import tseitin_encode
 from repro.core.preprocess import Preprocessor
-from repro.core.results import InstanceRun, RunSet
+from repro.core.results import InstanceRun
 from repro.obs import get_tracer
 from repro.sat.backends import SolverBackend, resolve_backend
 from repro.sat.configs import SolverConfig
@@ -38,23 +39,16 @@ from repro.synthesis.recipe import COMPRESS2_RECIPE
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "PipelineSpec",
     "InstanceRun",
     "PIPELINES",
+    "PIPELINE_ALIASES",
+    "canonical_pipeline",
+    "preprocess_aig",
     "baseline_pipeline",
     "comp_pipeline",
     "ours_pipeline",
     "run_pipeline",
-    "PipelineComparison",
 ]
-
-
-@dataclass
-class PipelineSpec:
-    """A named preprocessing pipeline: AIG in, CNF plus transform-time out."""
-
-    name: str
-    encode: Callable[[AIG], tuple[Cnf, float]]
 
 
 def baseline_pipeline(aig: AIG, sweep: bool = False) -> tuple[Cnf, float]:
@@ -121,6 +115,43 @@ PIPELINES: dict[str, Callable[..., tuple[Cnf, float]]] = {
 }
 
 
+#: Case-insensitive spellings of the named pipelines (CLI flags, job specs).
+PIPELINE_ALIASES = {
+    "baseline": "Baseline",
+    "comp": "Comp.",
+    "comp.": "Comp.",
+    "ours": "Ours",
+}
+
+
+def canonical_pipeline(name: str) -> str | None:
+    """The :data:`PIPELINES` name for an exact registry name or a stripped,
+    case-insensitive alias; ``None`` (callers raise their own error) if
+    ``name`` is neither."""
+    if name in PIPELINES:
+        return name
+    return PIPELINE_ALIASES.get(name.strip().lower())
+
+
+def preprocess_aig(aig: AIG, pipeline: str | Callable[..., tuple[Cnf, float]],
+                   pipeline_kwargs: dict | None = None,
+                   instance: str = "") -> tuple[Cnf, float]:
+    """Encode ``aig`` with ``pipeline`` (a :data:`PIPELINES` name or an
+    encoder) under one ``preprocess`` span; returns CNF and transform time."""
+    encode = PIPELINES[pipeline] if isinstance(pipeline, str) else pipeline
+    with get_tracer().span("preprocess", pipeline=_pipeline_label(pipeline),
+                           instance=instance) as span:
+        cnf, transform_time = encode(aig, **(pipeline_kwargs or {}))
+        span.set(num_vars=cnf.num_vars, num_clauses=cnf.num_clauses)
+    return cnf, transform_time
+
+
+def _pipeline_label(pipeline: str | Callable) -> str:
+    if isinstance(pipeline, str):
+        return pipeline
+    return getattr(pipeline, "__name__", "custom")
+
+
 def run_pipeline(instance_aig: AIG, pipeline: str | Callable[[AIG], tuple[Cnf, float]],
                  instance_name: str = "", config: SolverConfig | None = None,
                  time_limit: float | None = None,
@@ -148,22 +179,14 @@ def run_pipeline(instance_aig: AIG, pipeline: str | Callable[[AIG], tuple[Cnf, f
 
     ``proof`` requests a DRAT proof of an UNSAT verdict at that path.  The
     proof refutes the *preprocessed* CNF this call built, not the input
-    AIG; callers that want to check it must keep that CNF (the CLI writes
-    a sibling ``<proof>.cnf`` for exactly this reason).
+    AIG, so whenever a proof file comes out this call also writes that CNF
+    to the sibling ``<proof>.cnf`` (the file ``repro proof check`` takes).
     """
-    if isinstance(pipeline, str):
-        encode = PIPELINES[pipeline]
-        pipeline_name = pipeline
-    else:
-        encode = pipeline
-        pipeline_name = getattr(pipeline, "__name__", "custom")
-    tracer = get_tracer()
+    pipeline_name = _pipeline_label(pipeline)
     name = instance_name or instance_aig.name
     logger.info("pipeline %s on %s", pipeline_name, name or "<unnamed>")
-    with tracer.span("preprocess", pipeline=pipeline_name,
-                     instance=name) as span:
-        cnf, transform_time = encode(instance_aig, **(pipeline_kwargs or {}))
-        span.set(num_vars=cnf.num_vars, num_clauses=cnf.num_clauses)
+    cnf, transform_time = preprocess_aig(instance_aig, pipeline,
+                                         pipeline_kwargs, instance=name)
     solve_kwargs: dict = {}
     if proof is not None:
         # Only passed when requested, so backend instances predating the
@@ -174,11 +197,13 @@ def run_pipeline(instance_aig: AIG, pipeline: str | Callable[[AIG], tuple[Cnf, f
         max_conflicts=max_conflicts, max_decisions=max_decisions,
         **solve_kwargs,
     )
+    if proof is not None and os.path.exists(proof):
+        write_dimacs_file(cnf, proof + ".cnf")
     logger.info("pipeline %s on %s: %s (%.3f s transform, %.3f s solve)",
                 pipeline_name, name or "<unnamed>", result.status,
                 transform_time, result.stats.solve_time)
     return InstanceRun(
-        instance_name=instance_name or instance_aig.name,
+        instance_name=name,
         pipeline_name=pipeline_name,
         status=result.status,
         transform_time=transform_time,
@@ -187,12 +212,3 @@ def run_pipeline(instance_aig: AIG, pipeline: str | Callable[[AIG], tuple[Cnf, f
         num_vars=cnf.num_vars,
         num_clauses=cnf.num_clauses,
     )
-
-
-@dataclass
-class PipelineComparison(RunSet):
-    """Runs of several pipelines over a common instance set.
-
-    A thin alias of :class:`repro.core.results.RunSet`, kept for its
-    historical name in the core API.
-    """

@@ -7,8 +7,7 @@ quantities every harness reports — total overall runtime with timeouts
 charged at the limit (the paper's ``T_solve`` accounting), total decision
 counts ("variable branching times") and solved-instance counts.
 
-The evaluation harnesses (:class:`repro.core.pipeline.PipelineComparison`,
-:class:`repro.eval.runtime.RuntimeComparison`,
+The evaluation harnesses (:class:`repro.eval.runtime.RuntimeComparison`,
 :class:`repro.eval.ablation.AblationResult`) and the batch-execution
 subsystem (:mod:`repro.runner`) all build on this module, so a run computed
 by any of them can be aggregated by all of them.

@@ -9,7 +9,7 @@ cell) and hand them to a :class:`BatchRunner`, which
 * caches finished runs in a JSONL :class:`ResultStore` for instant resume
   and reproducible re-aggregation.
 
-``python -m repro.runner`` exposes the same machinery as a CLI.
+``repro bench`` exposes the same machinery as a CLI.
 """
 
 from repro.runner.batch import BatchReport, BatchRunner, execute_task

@@ -40,13 +40,16 @@ import signal
 import tempfile
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import TypeVar
 
 from repro.core.pipeline import run_pipeline
 from repro.core.results import RESOURCE_STATUSES, InstanceRun
-from repro.errors import ResourceLimitExceeded, is_transient
+from repro.errors import ReproError, ResourceLimitExceeded, is_transient
 from repro.obs import Tracer, get_tracer, set_tracer
 from repro.resilience.chaos import get_chaos
 from repro.resilience.policy import RetryPolicy, Supervisor
@@ -58,6 +61,8 @@ from repro.sat.configs import SolverConfig
 from repro.sat.stats import SolverStats
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 #: Retry policy used for worker-death requeues when the caller does not
 #: supply a supervisor: bounded pool rebuilds, never an aborted batch.
@@ -80,33 +85,25 @@ def _raise_hard_timeout(signum: int, frame: object) -> None:
     raise HardTimeout()
 
 
-def _alarm_available() -> bool:
-    """Wall-clock alarms need SIGALRM and the (worker) main thread."""
-    return (hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread())
+def run_guarded(work: Callable[[], T], label: str,
+                aborted: Callable[[str, float, str | None], T], *,
+                hard_timeout: float | None = None,
+                mem_limit_mb: float | None = None) -> T:
+    """Run ``work()`` under the one guard shared by batch and server jobs.
 
-
-def execute_task(task: Task) -> InstanceRun:
-    """Run one task to completion in the current process.
-
-    This is the single execution path for serial runs, pool workers and
-    tests, so every mode produces identical results.  A task that exceeds
-    its ``hard_timeout`` is reported as a ``TIMEOUT`` run instead of raising;
-    a tripped resource watchdog (or a hard rlimit's ``MemoryError``) becomes
-    a clean ``MEMOUT``/``TIMEOUT`` run; unexpected pipeline/solver errors are
-    reported as ``ERROR`` runs so one bad cell cannot abort a long sweep.
+    The guard arms a wall-clock ``SIGALRM`` budget (``hard_timeout``) and,
+    with ``mem_limit_mb``, a soft memory watchdog around the work, and fires
+    chaos injection for ``label`` inside the armed window.  Work that does
+    not return is reported as ``aborted(status, elapsed, error)`` instead of
+    raising: status ``TIMEOUT``, ``MEMOUT`` or ``ERROR`` (whose exception
+    text is ``error``), so one bad cell cannot abort a long sweep.
     """
-    config = task.config if task.config is not None else SolverConfig()
-    config = replace(config, seed=task.seed())
-    aig = task.aig()
-    use_alarm = task.hard_timeout is not None and _alarm_available()
+    # Wall-clock alarms need SIGALRM and the (worker) main thread.
+    use_alarm = (hard_timeout is not None and hasattr(signal, "SIGALRM")
+                 and threading.current_thread() is threading.main_thread())
     previous_handler = None
     previous_timer = (0.0, 0.0)
     start = time.perf_counter()
-    tracer = get_tracer()
-    attrs = {"instance": task.instance_name, "pipeline": task.group_name}
-    if tracer.enabled:
-        attrs["fingerprint"] = task.fingerprint()[:16]
 
     def disarm() -> None:
         # Re-arm any timer the caller had pending (jobs=1 runs in the
@@ -116,49 +113,79 @@ def execute_task(task: Task) -> InstanceRun:
             signal.setitimer(signal.ITIMER_REAL, *previous_timer)
             signal.signal(signal.SIGALRM, previous_handler)
 
+    def abort(status: str, error: str | None = None) -> T:
+        disarm()
+        return aborted(status, time.perf_counter() - start, error)
+
+    # Without a ceiling of its own the guard leaves the process-global
+    # watchdog alone: pool workers arm theirs in the pool initializer.
+    watchdog = use_watchdog(Watchdog(mem_limit_mb=mem_limit_mb)) \
+        if mem_limit_mb else nullcontext()
     # The outer try exists because the alarm can fire in the gap between
-    # run_pipeline returning and the inner finally disarming it; a
-    # HardTimeout raised there must still become a TIMEOUT run, never escape
-    # and abort the whole sweep.
-    with tracer.span("task", **attrs) as span:
+    # the work returning and the inner finally disarming it; a HardTimeout
+    # raised there must still become a TIMEOUT, never escape.
+    with watchdog:
         try:
             try:
                 if use_alarm:
                     previous_handler = signal.signal(signal.SIGALRM,
                                                      _raise_hard_timeout)
                     previous_timer = signal.setitimer(signal.ITIMER_REAL,
-                                                      task.hard_timeout)
+                                                      hard_timeout)
                 # Fault injection runs inside the armed window so injected
                 # delays still count against the wall-clock budget.
-                get_chaos().on_task_start(task.instance_name)
-                run = run_pipeline(
-                    aig, task.pipeline,
-                    instance_name=task.instance_name,
-                    config=config,
-                    time_limit=task.time_limit,
-                    pipeline_kwargs=task.pipeline_kwargs,
-                    backend=task.backend,
-                    backend_kwargs=task.backend_kwargs,
-                    proof=task.proof,
-                )
+                get_chaos().on_task_start(label)
+                return work()
             finally:
                 disarm()
         except HardTimeout:
-            disarm()
-            run = _aborted_run(task, "TIMEOUT", time.perf_counter() - start)
+            return abort("TIMEOUT")
         except ResourceLimitExceeded as trip:
-            disarm()
-            run = _aborted_run(task, trip.status, time.perf_counter() - start)
+            return abort(trip.status)
         except MemoryError:
             # The hard rlimit backstop tripped outside the solver loop
             # (the soft watchdog converts in-loop trips itself).
-            disarm()
-            run = _aborted_run(task, "MEMOUT", time.perf_counter() - start)
-        except Exception:
-            disarm()
-            logger.exception("task %s/%s failed", task.instance_name,
-                             task.pipeline)
-            run = _aborted_run(task, "ERROR", time.perf_counter() - start)
+            return abort("MEMOUT")
+        except ReproError as error:
+            logger.warning("task %s failed: %s", label, error)
+            return abort("ERROR", str(error))
+        except Exception as error:  # noqa: BLE001 - terminal catch-all
+            logger.exception("task %s failed", label)
+            return abort("ERROR", f"{type(error).__name__}: {error}")
+
+
+def execute_task(task: Task,
+                 mem_limit_mb: float | None = None) -> InstanceRun:
+    """Run one task to completion in the current process.
+
+    This is the single execution path for serial runs, pool workers, server
+    jobs and tests, so every mode produces identical results.  The pipeline
+    runs under :func:`run_guarded` (``mem_limit_mb`` arms a watchdog for
+    this call): a timeout, a resource trip or an error becomes a
+    ``TIMEOUT``/``MEMOUT``/``ERROR`` run instead of raising.
+    """
+    config = task.config if task.config is not None else SolverConfig()
+    config = replace(config, seed=task.seed())
+    aig = task.aig()
+    tracer = get_tracer()
+    attrs = {"instance": task.instance_name, "pipeline": task.group_name}
+    if tracer.enabled:
+        attrs["fingerprint"] = task.fingerprint()[:16]
+    with tracer.span("task", **attrs) as span:
+        run = run_guarded(
+            lambda: run_pipeline(
+                aig, task.pipeline,
+                instance_name=task.instance_name,
+                config=config,
+                time_limit=task.time_limit,
+                pipeline_kwargs=task.pipeline_kwargs,
+                backend=task.backend,
+                backend_kwargs=task.backend_kwargs,
+                proof=task.proof,
+            ),
+            task.instance_name,
+            lambda status, elapsed, _: _aborted_run(task, status, elapsed),
+            hard_timeout=task.hard_timeout, mem_limit_mb=mem_limit_mb)
         span.set(status=run.status)
     run.pipeline_name = task.group_name
     return run
@@ -330,11 +357,7 @@ class BatchRunner:
         task).
         """
         while True:
-            if self.mem_limit_mb:
-                with use_watchdog(Watchdog(mem_limit_mb=self.mem_limit_mb)):
-                    run = execute_task(task)
-            else:
-                run = execute_task(task)
+            run = execute_task(task, self.mem_limit_mb)
             if (run.status != "ERROR" or self.supervisor is None
                     or not self.supervisor.note_failure(
                         f"task.{fingerprint[:16]}")):

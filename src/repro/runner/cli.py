@@ -1,4 +1,4 @@
-"""``python -m repro.runner`` — run a benchmark sweep from the command line.
+"""``repro bench`` — run a benchmark sweep from the command line.
 
 A *suite spec* (suite name, size, seed), a pipeline list and a solver preset
 expand into one task per (instance, pipeline) cell.  The sweep fans out over
@@ -8,7 +8,7 @@ same store is a pure cache read that reproduces the aggregates exactly.
 
 Example::
 
-    python -m repro.runner --suite test --size 4 --pipelines Baseline Ours --jobs 4
+    python -m repro bench --suite test --size 4 --pipelines Baseline Ours --jobs 4
 """
 
 from __future__ import annotations
@@ -34,18 +34,12 @@ from repro.sat.backends import (
     get_backend,
     is_internal,
 )
-from repro.sat.configs import SolverConfig, cadical_like, kissat_like
+from repro.sat.configs import CONFIG_PRESETS, SolverConfig
 
 #: Suite name -> (generator, default seed); sizes come from ``--size``.
 SUITES = {
     "training": (generate_training_suite, 0),
     "test": (generate_test_suite, 1000),
-}
-
-SOLVER_PRESETS = {
-    "default": SolverConfig,
-    "kissat_like": kissat_like,
-    "cadical_like": cadical_like,
 }
 
 
@@ -58,7 +52,7 @@ def _positive_int(value: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.runner",
+        prog="repro bench",
         description="Parallel batch runner for pipeline sweeps with a "
                     "persistent result cache.",
     )
@@ -71,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pipelines", nargs="+", default=["Baseline", "Comp.", "Ours"],
                         choices=sorted(PIPELINES), metavar="PIPELINE",
                         help="pipelines to run (default: Baseline Comp. Ours)")
-    parser.add_argument("--solver", choices=sorted(SOLVER_PRESETS),
+    parser.add_argument("--solver", choices=sorted(CONFIG_PRESETS),
                         default="kissat_like",
                         help="solver preset (default: kissat_like)")
     parser.add_argument("--backend", choices=sorted(set(BACKEND_NAMES)),
@@ -147,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     generator, default_seed = SUITES[args.suite]
     seed = args.seed if args.seed is not None else default_seed
     instances = generator(num_instances=args.size, seed=seed)
-    config = SOLVER_PRESETS[args.solver]()
+    config = CONFIG_PRESETS[args.solver]()
     time_limit = args.time_limit if args.time_limit and args.time_limit > 0 else None
 
     try:

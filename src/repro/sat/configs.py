@@ -83,3 +83,12 @@ def cadical_like() -> SolverConfig:
         reduce_interval=3000,
         max_lbd_keep=4,
     )
+
+
+#: Solver presets selectable by name (CLI ``--config``/``--solver`` flags
+#: and server job specs).
+CONFIG_PRESETS = {
+    "default": SolverConfig,
+    "kissat_like": kissat_like,
+    "cadical_like": cadical_like,
+}

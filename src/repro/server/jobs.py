@@ -11,8 +11,9 @@ Three kinds of work are served:
     of the named preprocessing pipelines first (``baseline`` / ``comp`` /
     ``ours``); CNF payloads go straight to the backend and additionally
     return the satisfying model.  ``proof=true`` requests a DRAT proof of
-    an UNSAT verdict (returned inline, together with the preprocessed CNF
-    it refutes — matching ``repro solve --proof`` semantics).
+    an UNSAT verdict (returned inline, together with the ``<proof>.cnf``
+    sibling holding the CNF it refutes — matching ``repro solve --proof``
+    semantics).
 ``preprocess``
     ASCII AIGER payload → preprocessed DIMACS text plus size counters.
 ``sweep``
@@ -26,69 +27,47 @@ kind discriminator.  The fingerprint keys cross-request dedup/memoization
 and seeds the solver, so a job's verdict is independent of which worker
 ran it and when.
 
-Execution reuses the hardened single-task path of the batch runner: a
-wall-clock ``SIGALRM`` budget, a per-request memory watchdog, and the
-exception → terminal-status mapping of
-:func:`repro.runner.batch.execute_task` (``TIMEOUT`` / ``MEMOUT`` /
-``ERROR`` runs instead of escaping exceptions), with chaos injection
-(:func:`repro.resilience.chaos.get_chaos`) inside the armed window.
+Execution is the batch runner's: an AIGER solve, proof or not, *is*
+:func:`repro.runner.batch.execute_task` on :meth:`JobSpec.to_task`, and
+the other kinds run under the same guard,
+:func:`repro.runner.batch.run_guarded` (wall-clock budget, memory
+watchdog, chaos injection, ``TIMEOUT`` / ``MEMOUT`` / ``ERROR`` results).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
-import shutil
-import signal
 import tempfile
-import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from pathlib import Path
 
 from repro.aig.aiger import read_aiger, write_aiger
 from repro.aig.sweep import sweep_aig
 from repro.cnf import read_dimacs, write_dimacs
-from repro.core.pipeline import PIPELINES
-from repro.errors import ReproError, ResourceLimitExceeded
-from repro.resilience.chaos import get_chaos
-from repro.resilience.watchdog import Watchdog, use_watchdog
-from repro.runner.batch import (HardTimeout, _alarm_available,
-                                _raise_hard_timeout, execute_task)
-from repro.runner.task import SCHEMA_VERSION, Task, default_hard_timeout
+from repro.core.pipeline import (PIPELINE_ALIASES, PIPELINES,
+                                 canonical_pipeline, preprocess_aig)
+from repro.errors import ReproError
+from repro.runner.batch import execute_task, run_guarded
+from repro.runner.task import SCHEMA_VERSION, Task
 from repro.sat.backends import BACKEND_NAMES, resolve_backend
-from repro.sat.configs import SolverConfig, cadical_like, kissat_like
+from repro.sat.configs import CONFIG_PRESETS
 
 __all__ = [
     "BadRequest",
     "JobSpec",
     "JOB_KINDS",
-    "CONFIG_PRESETS",
     "execute_job",
 ]
 
-logger = logging.getLogger(__name__)
-
 JOB_KINDS = ("solve", "preprocess", "sweep")
-
-#: Solver-config presets selectable by name in a job spec.
-CONFIG_PRESETS = {
-    "default": SolverConfig,
-    "kissat_like": kissat_like,
-    "cadical_like": cadical_like,
-}
 
 #: Statuses whose results are cacheable: ERROR runs should be retried on
 #: resubmission and resource trips may pass under a different budget.
 UNCACHED_STATUSES = ("ERROR", "MEMOUT", "CANCELLED")
-
-_PIPELINE_ALIASES = {
-    "baseline": "Baseline",
-    "comp": "Comp.",
-    "comp.": "Comp.",
-    "ours": "Ours",
-}
 
 
 class BadRequest(ReproError):
@@ -96,11 +75,9 @@ class BadRequest(ReproError):
 
 
 def _pipeline_name(raw: str) -> str:
-    if raw in PIPELINES:
-        return raw
-    name = _PIPELINE_ALIASES.get(raw.strip().lower())
+    name = canonical_pipeline(raw)
     if name is None:
-        choices = sorted(_PIPELINE_ALIASES) + sorted(PIPELINES)
+        choices = sorted(PIPELINE_ALIASES) + sorted(PIPELINES)
         raise BadRequest(f"unknown pipeline {raw!r} (choices: {choices})")
     return name
 
@@ -200,8 +177,8 @@ class JobSpec:
         data.pop("_fingerprint", None)
         return data
 
-    def to_task(self) -> Task:
-        """The batch-runner task equivalent of an AIGER solve spec."""
+    def to_task(self, proof: str | None = None) -> Task:
+        """The batch-runner task of an AIGER solve spec, proving to ``proof``."""
         if self.kind != "solve" or self.fmt != "aig":
             raise BadRequest("only AIGER solve specs map onto tasks")
         try:
@@ -217,6 +194,7 @@ class JobSpec:
             hard_timeout=self.hard_timeout,
             backend=self.backend,
             backend_kwargs=self.backend_kwargs,
+            proof=proof,
         )
 
     def fingerprint(self) -> str:
@@ -269,58 +247,34 @@ def _run_payload(run) -> dict:
     }
 
 
-def _run_spec(spec: JobSpec) -> dict:
-    """The happy path of one job, inside the armed guard window."""
+def _run_spec(spec: JobSpec, proof: str | None) -> dict:
+    """The happy path of a CNF solve, preprocess or sweep job (guarded)."""
     if spec.kind == "solve":
-        # CNF solve (or a proof-bearing AIGER solve, which cannot ride
-        # execute_task because the proof must come back inline).
-        transform_time = 0.0
-        if spec.fmt == "cnf":
-            cnf = read_dimacs(spec.payload, strict=False)
-        else:
-            aig = read_aiger(spec.payload)
-            cnf, transform_time = PIPELINES[spec.pipeline](
-                aig, **spec.pipeline_kwargs)
+        cnf = read_dimacs(spec.payload, strict=False)
         config = replace(CONFIG_PRESETS[spec.config](), seed=spec.seed())
-        tmpdir = tempfile.mkdtemp(prefix="repro-server-") if spec.proof \
-            else None
-        try:
-            solve_kwargs: dict = {}
-            if tmpdir is not None:
-                solve_kwargs["proof"] = os.path.join(tmpdir, "proof.drat")
-            backend = resolve_backend(spec.backend, **spec.backend_kwargs)
-            result = backend.solve(cnf, config=config,
-                                   time_limit=spec.time_limit,
-                                   **solve_kwargs)
-            payload = {
-                "kind": "solve",
-                "status": result.status,
-                "pipeline": spec.pipeline if spec.fmt == "aig" else None,
-                "num_vars": cnf.num_vars,
-                "num_clauses": cnf.num_clauses,
-                "transform_time": transform_time,
-                "solve_time": result.stats.solve_time,
-                "stats": result.stats.as_dict(),
-            }
-            if result.model is not None:
-                payload["model"] = {str(var): bool(value)
-                                    for var, value in result.model.items()}
-            if tmpdir is not None:
-                proof_path = solve_kwargs["proof"]
-                if os.path.exists(proof_path):
-                    with open(proof_path, "r", encoding="utf-8") as handle:
-                        payload["proof"] = handle.read()
-                    # The proof refutes the CNF *this* call built, so ship
-                    # that CNF alongside (repro proof check needs both).
-                    payload["proof_cnf"] = write_dimacs(cnf)
-            return payload
-        finally:
-            if tmpdir is not None:
-                shutil.rmtree(tmpdir, ignore_errors=True)
+        backend = resolve_backend(spec.backend, **spec.backend_kwargs)
+        result = backend.solve(cnf, config=config, time_limit=spec.time_limit,
+                               proof=proof)
+        if proof is not None and os.path.exists(proof):
+            write_dimacs(cnf, proof + ".cnf")
+        payload = {
+            "kind": "solve",
+            "status": result.status,
+            "pipeline": None,
+            "num_vars": cnf.num_vars,
+            "num_clauses": cnf.num_clauses,
+            "transform_time": 0.0,
+            "solve_time": result.stats.solve_time,
+            "stats": result.stats.as_dict(),
+        }
+        if result.model is not None:
+            payload["model"] = {str(var): bool(value)
+                                for var, value in result.model.items()}
+        return payload
     if spec.kind == "preprocess":
-        aig = read_aiger(spec.payload)
-        cnf, transform_time = PIPELINES[spec.pipeline](
-            aig, **spec.pipeline_kwargs)
+        cnf, transform_time = preprocess_aig(
+            read_aiger(spec.payload), spec.pipeline, spec.pipeline_kwargs,
+            instance=spec.name)
         return {
             "kind": "preprocess",
             "status": "DONE",
@@ -343,82 +297,37 @@ def _run_spec(spec: JobSpec) -> dict:
     raise BadRequest(f"unknown kind {spec.kind!r}")  # pragma: no cover
 
 
-def _execute_guarded(spec: JobSpec) -> dict:
-    """Run one spec under the batch runner's guard discipline.
-
-    Same budget enforcement and exception → status mapping as
-    :func:`repro.runner.batch.execute_task`: a wall-clock ``SIGALRM``
-    (``hard_timeout``), a soft memory watchdog (``mem_limit_mb``), and
-    every failure converted to a terminal result dict — an accepted job
-    always produces *something* to report.
-    """
-    start = time.perf_counter()
-    use_alarm = spec.hard_timeout is not None and _alarm_available()
-    previous_handler = None
-    previous_timer = (0.0, 0.0)
-
-    def disarm() -> None:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, *previous_timer)
-            signal.signal(signal.SIGALRM, previous_handler)
-
-    watchdog = Watchdog(mem_limit_mb=spec.mem_limit_mb) \
-        if spec.mem_limit_mb else None
-    with use_watchdog(watchdog) if watchdog is not None else nullcontext():
+def _execute(spec: JobSpec, proof: str | None) -> dict:
+    if spec.kind == "solve" and spec.fmt == "aig":
         try:
-            try:
-                if use_alarm:
-                    previous_handler = signal.signal(signal.SIGALRM,
-                                                     _raise_hard_timeout)
-                    previous_timer = signal.setitimer(signal.ITIMER_REAL,
-                                                      spec.hard_timeout)
-                get_chaos().on_task_start(spec.name or spec.kind)
-                return _run_spec(spec)
-            finally:
-                disarm()
-        except HardTimeout:
-            disarm()
-            return _aborted(spec, "TIMEOUT", time.perf_counter() - start)
-        except ResourceLimitExceeded as trip:
-            disarm()
-            return _aborted(spec, trip.status, time.perf_counter() - start)
-        except MemoryError:
-            disarm()
-            return _aborted(spec, "MEMOUT", time.perf_counter() - start)
+            task = spec.to_task(proof=proof)
         except ReproError as error:
-            disarm()
-            logger.warning("job %s failed: %s", spec.name or spec.kind,
-                           error)
-            return _aborted(spec, "ERROR", time.perf_counter() - start,
-                            error=str(error))
-        except Exception as error:  # noqa: BLE001 - terminal catch-all
-            disarm()
-            logger.exception("job %s failed", spec.name or spec.kind)
-            return _aborted(spec, "ERROR", time.perf_counter() - start,
-                            error=f"{type(error).__name__}: {error}")
+            # Admission normally validates AIGER payloads; a worker must
+            # still answer, not crash, if one slips through.
+            return _aborted(spec, "ERROR", 0.0, error=str(error))
+        return _run_payload(execute_task(task, spec.mem_limit_mb))
+    return run_guarded(lambda: _run_spec(spec, proof), spec.name or spec.kind,
+                       partial(_aborted, spec), hard_timeout=spec.hard_timeout,
+                       mem_limit_mb=spec.mem_limit_mb)
 
 
 def execute_job(payload: dict) -> dict:
     """Pool entry point: run one JSON job spec to a terminal result dict.
 
     Plain dicts travel over the pool pipe in both directions so worker
-    processes need nothing but this module.  Plain AIGER solves ride
+    processes need nothing but this module.  AIGER solves ride
     :func:`repro.runner.batch.execute_task` (identical results to the
-    batch runner for the identical fingerprint); everything else runs
-    under the same guard discipline via :func:`_execute_guarded`.
+    batch runner for the identical fingerprint, proof or not); everything
+    else runs under the same guard, :func:`repro.runner.batch.run_guarded`.
+    A proof job solves with a DRAT path in a scratch directory and returns
+    the proof and its ``<proof>.cnf`` sibling inline.
     """
     spec = JobSpec.from_json(payload)
-    if spec.kind == "solve" and spec.fmt == "aig" and not spec.proof:
-        try:
-            task = spec.to_task()
-        except ReproError as error:
-            # Admission normally validates AIGER payloads; a worker must
-            # still answer, not crash, if one slips through.
-            return _aborted(spec, "ERROR", 0.0, error=str(error))
-        watchdog = Watchdog(mem_limit_mb=spec.mem_limit_mb) \
-            if spec.mem_limit_mb else None
-        with use_watchdog(watchdog) if watchdog is not None \
-                else nullcontext():
-            run = execute_task(task)
-        return _run_payload(run)
-    return _execute_guarded(spec)
+    with tempfile.TemporaryDirectory(prefix="repro-server-") \
+            if spec.proof else nullcontext() as tmpdir:
+        proof = os.path.join(tmpdir, "proof.drat") if spec.proof else None
+        result = _execute(spec, proof)
+        if proof is not None and os.path.exists(proof + ".cnf"):
+            for key, path in (("proof", proof), ("proof_cnf", proof + ".cnf")):
+                result[key] = Path(path).read_text(encoding="utf-8")
+    return result

@@ -240,6 +240,8 @@ class TestHelpers:
         assert resolve_pipeline("Baseline") == "Baseline"
         assert resolve_pipeline("comp") == "Comp."
         assert resolve_pipeline("COMP.") == "Comp."
+        assert resolve_pipeline(" ours ") == "Ours"
+        assert resolve_pipeline("Comp.") == "Comp."
         with pytest.raises(CliError, match="unknown pipeline"):
             resolve_pipeline("magic")
 

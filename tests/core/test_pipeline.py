@@ -11,7 +11,7 @@ from repro.core import (
     ours_pipeline,
     run_pipeline,
 )
-from repro.core.pipeline import PipelineComparison
+from repro.core.results import RunSet
 from repro.sat import cadical_like, kissat_like, solve_cnf
 
 
@@ -83,7 +83,7 @@ class TestRunPipeline:
 
 class TestPipelineComparison:
     def test_accumulates_totals(self):
-        comparison = PipelineComparison()
+        comparison = RunSet()
         instance = _sat_instance()
         for name in PIPELINES:
             comparison.add(run_pipeline(instance, name))

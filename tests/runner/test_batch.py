@@ -224,6 +224,24 @@ class TestProofTasks:
         replay = BatchRunner(jobs=1, store=ResultStore(path)).run([plain])
         assert replay.cache_hits == 1
 
+    def test_ours_proof_checks_against_its_cnf_sibling(self, tmp_path):
+        """The proof refutes the preprocessed CNF, which the run writes
+        beside it as ``<proof>.cnf``."""
+        from repro.benchgen.lec import multiplier_commutativity_miter
+        from repro.cnf import read_dimacs
+        from repro.sat.proof import check_drat_file
+
+        proof_file = tmp_path / "ours.drat"
+        task = Task.from_aig(multiplier_commutativity_miter(3), "Ours",
+                             time_limit=10.0, proof=str(proof_file))
+        run = BatchRunner(jobs=1).run([task]).runs[0]
+        assert run.status == "UNSAT"
+        cnf = read_dimacs(tmp_path / "ours.drat.cnf")
+        assert (cnf.num_vars, cnf.num_clauses) == (run.num_vars,
+                                                   run.num_clauses)
+        outcome = check_drat_file(cnf, str(proof_file))
+        assert outcome.valid, outcome.reason
+
 
 class TestDeterminism:
     def test_parallel_results_identical_to_serial(self, tmp_path):

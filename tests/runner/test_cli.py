@@ -1,4 +1,4 @@
-"""Tests for the ``python -m repro.runner`` command-line interface."""
+"""Tests for the ``repro bench`` command-line interface (the sweep runner)."""
 
 import json
 

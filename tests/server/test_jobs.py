@@ -4,9 +4,12 @@ import pytest
 
 from repro.aig.aiger import write_aiger
 from repro.benchgen import adder_equivalence_miter, random_aig, random_cnf
-from repro.cnf import write_dimacs
+from repro.benchgen.lec import multiplier_commutativity_miter
+from repro.cnf import read_dimacs, write_dimacs
 from repro.resilience.chaos import ChaosSpec, use_chaos
 from repro.runner.task import Task
+from repro.sat.configs import CONFIG_PRESETS
+from repro.sat.proof import check_drat, parse_drat
 from repro.server.jobs import (BadRequest, JobSpec, execute_job,
                                sniff_format)
 
@@ -17,6 +20,17 @@ def _cnf_payload(num_vars=12, num_clauses=40, seed=3):
 
 def _aig_payload(seed=1):
     return write_aiger(random_aig(num_pis=4, num_nodes=14, seed=seed))
+
+
+def _with_dangling_and(payload):
+    """``payload`` plus one AND gate that drives nothing."""
+    lines = payload.splitlines()
+    _, max_var, inputs, latches, outputs, ands = lines[0].split()
+    max_var, ands = int(max_var) + 1, int(ands) + 1
+    lines[0] = f"aag {max_var} {inputs} {latches} {outputs} {ands}"
+    lines.insert(int(inputs) + int(latches) + int(outputs) + ands,
+                 f"{2 * max_var} 2 4")
+    return "\n".join(lines) + "\n"
 
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
@@ -108,7 +122,6 @@ class TestFingerprint:
 
 
 def spec_config(spec):
-    from repro.server.jobs import CONFIG_PRESETS
     return CONFIG_PRESETS[spec.config]()
 
 
@@ -137,6 +150,24 @@ class TestExecuteJob:
         assert result["status"] == "UNSAT"
         assert result["proof"].strip().endswith("0")
         assert result["proof_cnf"].startswith("p cnf")
+
+    def test_aig_proof_solve_is_the_plain_solve(self):
+        """A proof job shares its fingerprint (and cache cell) with the
+        plain job, so it must solve the same normalised CNF — not the raw
+        payload with its dangling gate — and its proof must refute the
+        CNF it returns."""
+        payload = _with_dangling_and(
+            write_aiger(multiplier_commutativity_miter(3)))
+        spec = {"payload": payload, "pipeline": "baseline"}
+        plain = execute_job(spec)
+        proved = execute_job({**spec, "proof": True})
+        assert plain["status"] == proved["status"] == "UNSAT"
+        for key in ("num_vars", "num_clauses"):
+            assert proved[key] == plain[key]
+        assert proved["stats"]["decisions"] == plain["stats"]["decisions"]
+        outcome = check_drat(read_dimacs(proved["proof_cnf"]),
+                             parse_drat(proved["proof"]))
+        assert outcome.valid, outcome.reason
 
     def test_preprocess_returns_dimacs(self):
         result = execute_job({"payload": _aig_payload(seed=7),
