@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable
+from operator import itemgetter
 
 from repro.aig.aig import AIG, lit_is_complemented, lit_var
 from repro.errors import MappingError
@@ -49,38 +50,41 @@ def map_aig(aig: AIG, k: int = 4, cost_fn: CostFunction = area_cost,
     """Map ``aig`` into a k-LUT netlist minimising the given cost function."""
     if k < 2:
         raise MappingError("LUT size must be at least 2")
+    if max_cuts < 2:
+        raise MappingError("max_cuts must be at least 2")
     cuts = enumerate_cuts(aig, k=k, max_cuts=max_cuts)
     fanout_counts = aig.fanout_counts()
     # Estimated fanout used for cost flow; at least 1 to avoid division by 0.
     est_refs = [max(1, count) for count in fanout_counts]
 
-    and_vars = list(aig.and_vars())
-    best_cut: dict[int, Cut] = {}
-    arrival: dict[int, int] = {var: 0 for var in aig.pis}
-    arrival[0] = 0
-    flow: dict[int, float] = {var: 0.0 for var in aig.pis}
-    flow[0] = 0.0
-
-    def nontrivial_cuts(var: int) -> list[Cut]:
-        usable = [cut for cut in cuts[var] if cut.leaves != (var,)]
-        if not usable:
+    # Each node's (leaves, cost, cut) candidates, built once for all passes.
+    candidates: dict[int, list[tuple[tuple[int, ...], float, Cut]]] = {}
+    for var in aig.and_vars():
+        candidates[var] = [(cut.leaves, cost_fn(cut.table, cut.size), cut)
+                           for cut in cuts[var] if cut.leaves != (var,)]
+        if not candidates[var]:
             raise MappingError(f"node {var} has no non-trivial cut")
-        return usable
+    best_cut: dict[int, Cut] = {}
+    # Var-indexed arrival times and cost flows (0 at PIs and the constant);
+    # `share[v]` is the flow node v passes to each fanout, flow[v] / est_refs[v].
+    arrival = [0] * aig.num_vars
+    share = [0.0] * aig.num_vars
+    arrival_of = arrival.__getitem__
+    share_of = share.__getitem__
 
-    def cut_arrival(cut: Cut) -> int:
-        return 1 + max(arrival[leaf] for leaf in cut.leaves)
+    def options(var: int) -> list[tuple[int, float, Cut]]:
+        """Every candidate of ``var`` as ``(arrival, flow, cut)``."""
+        return [(1 + max(map(arrival_of, leaves)),
+                 cost + sum(map(share_of, leaves)), cut)
+                for leaves, cost, cut in candidates[var]]
 
-    def cut_flow(cut: Cut) -> float:
-        cost = cost_fn(cut.table, cut.size)
-        return cost + sum(flow[leaf] / est_refs[leaf] for leaf in cut.leaves)
+    def select(var: int, chosen: tuple[int, float, Cut]) -> None:
+        arrival[var], flow, best_cut[var] = chosen
+        share[var] = flow / est_refs[var]
 
     # Phase 1: delay-oriented selection.
-    for var in and_vars:
-        candidates = nontrivial_cuts(var)
-        chosen = min(candidates, key=lambda c: (cut_arrival(c), cut_flow(c)))
-        best_cut[var] = chosen
-        arrival[var] = cut_arrival(chosen)
-        flow[var] = cut_flow(chosen)
+    for var in candidates:
+        select(var, min(options(var), key=itemgetter(0, 1)))
 
     if not aig.pos:
         return MappingResult(netlist=LutNetlist(name=aig.name), total_cost=0.0,
@@ -91,14 +95,10 @@ def map_aig(aig: AIG, k: int = 4, cost_fn: CostFunction = area_cost,
 
     # Phase 2: cost recovery subject to the depth constraint.
     for _ in range(max(0, recovery_passes)):
-        for var in and_vars:
-            candidates = nontrivial_cuts(var)
-            feasible = [c for c in candidates if cut_arrival(c) <= required_depth]
-            pool = feasible if feasible else candidates
-            chosen = min(pool, key=lambda c: (cut_flow(c), cut_arrival(c)))
-            best_cut[var] = chosen
-            arrival[var] = cut_arrival(chosen)
-            flow[var] = cut_flow(chosen)
+        for var in candidates:
+            pool = options(var)
+            feasible = [option for option in pool if option[0] <= required_depth]
+            select(var, min(feasible or pool, key=itemgetter(1, 0)))
 
     # Phase 3: derive the cover from the POs.
     netlist = LutNetlist(name=aig.name)

@@ -42,7 +42,9 @@ from repro.sat.proof import check_drat_file
 from repro.sat.sharing import interleaved_sharing_race
 from repro.sat.solver import CdclSolver, solve_cnf
 from repro.server.loadgen import build_workload
-from repro.synthesis import balance, refactor, rewrite
+from repro.mapping.cost import branching_cost
+from repro.mapping.mapper import map_aig
+from repro.synthesis import balance, refactor, resub, rewrite
 from repro.synthesis.cuts import enumerate_cuts
 
 
@@ -427,6 +429,11 @@ def _cube_conquer_batch(payload: tuple[Cnf, list[int]]) -> dict[str, float]:
 # --------------------------------------------------------------------- #
 
 
+def _map_counters(aig: AIG) -> dict[str, float]:
+    result = map_aig(aig, k=4, cost_fn=branching_cost)
+    return {"luts": result.num_luts, "cost": result.total_cost}
+
+
 def default_suite(quick: bool = False) -> list[Benchmark]:
     """Build the benchmark list; ``quick`` shrinks every workload for CI."""
     # (num_vars, seeds) for the random 3-SAT batch, at clause ratio ~4.26.
@@ -609,6 +616,32 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
                 "ands_in": aig.num_ands,
                 "ands_out": refactor(aig).num_ands,
             },
+        ),
+        Benchmark(
+            name="synth_resub",
+            category="synthesis",
+            description=f"resub (8-leaf windows, 0/1-resubstitution from "
+                        f"one window walk per node) on the width-{synth_width} "
+                        f"multiplier commutativity miter after balance + "
+                        f"rewrite + refactor + rewrite, as the default Ours "
+                        f"recipe reaches it",
+            setup=lambda: rewrite(refactor(rewrite(balance(
+                multiplier_commutativity_miter(synth_width))))),
+            run=lambda aig: {
+                "ands_in": aig.num_ands,
+                "ands_out": resub(aig).num_ands,
+            },
+        ),
+        Benchmark(
+            name="synth_map",
+            category="synthesis",
+            description=f"4-LUT mapping with the branching cost (priority "
+                        f"cuts, delay pass + 2 cost-recovery passes) of the "
+                        f"width-{synth_width} multiplier commutativity miter "
+                        f"after the whole default Ours recipe",
+            setup=lambda: balance(resub(rewrite(refactor(rewrite(balance(
+                multiplier_commutativity_miter(synth_width))))))),
+            run=_map_counters,
         ),
         Benchmark(
             name="sim_random",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.aig.aig import AIG, lit_var
 from repro.logic.truthtable import tt_mask
-from repro.synthesis.cuts import cone_truth_table, reconvergence_cut
+from repro.synthesis.cuts import reconvergence_cut, window_tables
 from repro.synthesis.resynth import (
     AndProgram,
     ReplacementPass,
@@ -37,7 +37,7 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
     structure_cache: dict[tuple[int, int], AndProgram] = {}
 
     for var in aig.and_vars():
-        lit0, lit1 = aig.fanins(var)
+        lit0, lit1 = aig._fanins[var]
         resolved0 = pass_state.resolve(lit0)
         resolved1 = pass_state.resolve(lit1)
         fanins_changed = resolved0 != lit0 or resolved1 != lit1
@@ -48,7 +48,7 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
             freed = aig.mffc_size(var, fanout_counts, leaves)
             if freed >= min_cone_size:
                 nvars = len(leaves)
-                table = cone_truth_table(aig, var, leaves) & tt_mask(nvars)
+                table = window_tables(aig, var, leaves)[var]
                 if table not in (0, tt_mask(nvars)):
                     program = resynthesis_program(structure_cache, table, nvars)
                     leaf_literals = [pass_state.resolve(leaf * 2) for leaf in leaves]

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from repro.aig.aig import AIG, lit_not, lit_var
 from repro.logic.truthtable import tt_mask
-from repro.synthesis.cuts import cone_nodes, cone_truth_table, reconvergence_cut
+from repro.synthesis.cuts import reconvergence_cut, window_tables
 from repro.synthesis.resynth import ReplacementPass
 
 
@@ -31,7 +31,7 @@ def resub(aig: AIG, max_leaves: int = 8, max_divisors: int = 20,
     pass_state = ReplacementPass(aig)
 
     for var in aig.and_vars():
-        lit0, lit1 = aig.fanins(var)
+        lit0, lit1 = aig._fanins[var]
         resolved0 = pass_state.resolve(lit0)
         resolved1 = pass_state.resolve(lit1)
         fanins_changed = resolved0 != lit0 or resolved1 != lit1
@@ -58,43 +58,35 @@ def _find_resubstitution(aig: AIG, var: int, fanout_counts: list[int],
     if len(leaves) < 2 or var in leaves:
         return None
     freed = aig.mffc_size(var, fanout_counts, leaves)
-    nvars = len(leaves)
-    mask = tt_mask(nvars)
-    target = cone_truth_table(aig, var, leaves) & mask
-
-    # The cone of `var` above the leaves, used both to find divisors (any
-    # window node outside the fanout-free part of the cone) and to refuse
-    # divisors that would create a cycle (nodes inside the cone that will be
-    # freed are fine to reuse only if they are *not* freed, i.e. have outside
-    # fanouts; for simplicity, divisors are restricted to leaves and to cone
-    # nodes with external fanouts).
-    cone = set(cone_nodes(aig, var, leaves))
+    if freed < 1:
+        return None
+    mask = tt_mask(len(leaves))
+    # One window walk gives the target, the cone of `var` above the leaves
+    # and every divisor table.  Divisors are the leaves and, for simplicity,
+    # only those cone nodes that have more than one fanout (nodes with
+    # outside fanouts are not freed by the replacement).
+    tables = window_tables(aig, var, leaves)
+    target = tables[var]
 
     divisors: list[int] = list(leaves)
-    for node in sorted(cone):
+    for node in sorted(tables.keys() - set(leaves)):
         if node == var:
             continue
         if fanout_counts[node] > 1:
             divisors.append(node)
         if len(divisors) >= max_divisors:
             break
-
-    divisor_tables = {}
-    for divisor in divisors:
-        divisor_tables[divisor] = cone_truth_table(aig, divisor, leaves) & mask
+    divisor_tables = {divisor: tables[divisor] for divisor in divisors}
 
     def divisor_literal(divisor: int, complemented: bool) -> int:
         literal = pass_state.resolve(divisor * 2)
         return lit_not(literal) if complemented else literal
 
-    if freed < 1:
-        return None
-
     # 0-resub: the node equals an existing divisor (up to complement).
     for divisor, table in divisor_tables.items():
         if table == target:
             return divisor_literal(divisor, False)
-        if table == (~target & mask):
+        if table == target ^ mask:
             return divisor_literal(divisor, True)
 
     if not try_one_resub or freed < 2:

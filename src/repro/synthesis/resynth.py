@@ -193,8 +193,10 @@ class ReplacementPass:
 
     def resolve(self, literal: int) -> int:
         """Return the current replacement literal for ``literal``."""
+        var = literal >> 1
+        if var not in self._substitution:
+            return literal
         complemented = lit_is_complemented(literal)
-        var = lit_var(literal)
         seen = set()
         while var in self._substitution:
             if var in seen:

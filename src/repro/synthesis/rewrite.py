@@ -37,7 +37,7 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
     structure_cache: dict[tuple[int, int], AndProgram] = {}
 
     for var in aig.and_vars():
-        lit0, lit1 = aig.fanins(var)
+        lit0, lit1 = aig._fanins[var]
         resolved0 = pass_state.resolve(lit0)
         resolved1 = pass_state.resolve(lit1)
         fanins_changed = resolved0 != lit0 or resolved1 != lit1
@@ -45,13 +45,13 @@ def rewrite(aig: AIG, cut_size: int = 4, max_cuts: int = 8,
         best_literal = None
         best_gain = 0 if allow_zero_gain else 1
         for cut in cuts[var]:
-            if cut.size < 2 or cut.leaves == (var,):
-                continue
             nvars = cut.size
-            table = cut.table & tt_mask(nvars)
-            # Skip cuts whose function degenerates to a single leaf/constant:
-            # those are handled by constant propagation, not rewriting.
-            if table in (0, tt_mask(nvars)):
+            if nvars < 2:
+                continue
+            table = cut.table
+            # Skip cuts whose function degenerates to a constant: those are
+            # handled by constant propagation, not rewriting.
+            if table == 0 or table == tt_mask(nvars):
                 continue
             program = resynthesis_program(structure_cache, table, nvars)
             leaf_literals = [pass_state.resolve(leaf * 2) for leaf in cut.leaves]

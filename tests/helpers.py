@@ -4,9 +4,42 @@ from __future__ import annotations
 
 from repro.aig import AIG
 from repro.aig.simulate import po_truth_tables
+from repro.benchgen import (
+    adder_equivalence_miter,
+    array_multiplier,
+    atpg_instance,
+    carry_select_adder,
+    comparator,
+    corner_case_miter,
+    lec_instance,
+    multiplier_commutativity_miter,
+    mux_tree,
+    parity_tree,
+    random_alu,
+    ripple_carry_adder,
+)
 from repro.benchgen.random_logic import random_aig
 
-__all__ = ["random_aig", "ripple_adder_aig", "functionally_equivalent"]
+__all__ = ["random_aig", "ripple_adder_aig", "functionally_equivalent",
+           "BENCHGEN_FAMILIES"]
+
+#: One small instance of every benchgen generator family, built on demand.
+BENCHGEN_FAMILIES = {
+    "ripple_carry_adder": lambda: ripple_carry_adder(4),
+    "carry_select_adder": lambda: carry_select_adder(6, block=3),
+    "array_multiplier": lambda: array_multiplier(3),
+    "comparator": lambda: comparator(4),
+    "mux_tree": lambda: mux_tree(3),
+    "parity_tree": lambda: parity_tree(8),
+    "random_alu": lambda: random_alu(3),
+    "random_aig": lambda: random_aig(8, 80, seed=4),
+    "adder_equivalence_miter": lambda: adder_equivalence_miter(4),
+    "adder_mutated_miter": lambda: adder_equivalence_miter(4, mutated=True, seed=2),
+    "multiplier_commutativity_miter": lambda: multiplier_commutativity_miter(3),
+    "corner_case_miter": lambda: corner_case_miter(4, seed=1),
+    "lec_instance": lambda: lec_instance(comparator(3), equivalent=True),
+    "atpg_instance": lambda: atpg_instance(random_alu(3), seed=1),
+}
 
 
 def ripple_adder_aig(width: int = 4) -> AIG:

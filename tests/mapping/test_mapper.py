@@ -67,6 +67,11 @@ class TestMapperCorrectness:
         with pytest.raises(MappingError):
             map_aig(random_aig(seed=1), k=1)
 
+    @pytest.mark.parametrize("max_cuts", [0, 1])
+    def test_rejects_fewer_than_two_cuts(self, max_cuts):
+        with pytest.raises(MappingError, match="max_cuts"):
+            map_aig(random_aig(seed=1), k=4, max_cuts=max_cuts)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_mapping_property(self, seed):

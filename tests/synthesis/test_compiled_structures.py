@@ -14,47 +14,17 @@ import random
 import pytest
 
 from repro.aig.aig import AIG, CONST0, CONST1, lit_not, lit_var
-from repro.benchgen import (
-    adder_equivalence_miter,
-    array_multiplier,
-    atpg_instance,
-    carry_select_adder,
-    comparator,
-    corner_case_miter,
-    lec_instance,
-    multiplier_commutativity_miter,
-    mux_tree,
-    parity_tree,
-    random_aig,
-    random_alu,
-    ripple_carry_adder,
-)
 from repro.logic.sop import FactoredNode, Sop, factor_sop
 from repro.logic.truthtable import tt_mask
-from repro.synthesis.cuts import cone_truth_table, enumerate_cuts, reconvergence_cut
+from repro.synthesis.cuts import enumerate_cuts, reconvergence_cut, window_tables
 from repro.synthesis.resynth import (
     build_factored,
     compile_factored,
     count_new_nodes,
     factored_form,
 )
+from tests.helpers import BENCHGEN_FAMILIES as FAMILIES
 
-FAMILIES = {
-    "ripple_carry_adder": lambda: ripple_carry_adder(4),
-    "carry_select_adder": lambda: carry_select_adder(6, block=3),
-    "array_multiplier": lambda: array_multiplier(3),
-    "comparator": lambda: comparator(4),
-    "mux_tree": lambda: mux_tree(3),
-    "parity_tree": lambda: parity_tree(8),
-    "random_alu": lambda: random_alu(3),
-    "random_aig": lambda: random_aig(8, 80, seed=4),
-    "adder_equivalence_miter": lambda: adder_equivalence_miter(4),
-    "adder_mutated_miter": lambda: adder_equivalence_miter(4, mutated=True, seed=2),
-    "multiplier_commutativity_miter": lambda: multiplier_commutativity_miter(3),
-    "corner_case_miter": lambda: corner_case_miter(4, seed=1),
-    "lec_instance": lambda: lec_instance(comparator(3), equivalent=True),
-    "atpg_instance": lambda: atpg_instance(random_alu(3), seed=1),
-}
 
 
 # ---------------------------------------------------------------------- #
@@ -229,7 +199,7 @@ class TestFactoredForm:
         aig = FAMILIES[family]()
         for root, leaves in _cones(aig):
             nvars = len(leaves)
-            table = cone_truth_table(aig, root, leaves) & tt_mask(nvars)
+            table = window_tables(aig, root, leaves)[root]
             assert factored_form(table, nvars) == _ref_factored_form(table, nvars)
 
     @pytest.mark.parametrize("nvars", range(11))
@@ -261,7 +231,7 @@ class TestCompiledProgram:
         checked = 0
         for root, leaves in _cones(aig):
             nvars = len(leaves)
-            table = cone_truth_table(aig, root, leaves) & tt_mask(nvars)
+            table = window_tables(aig, root, leaves)[root]
             tree = factored_form(table, nvars)
             for leaf_literals in _leaf_assignments(leaves, rng):
                 _check_program(aig, tree, nvars, leaf_literals)

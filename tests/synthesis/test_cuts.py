@@ -1,12 +1,14 @@
-"""Tests for cut enumeration and cone utilities."""
+"""Tests for cut enumeration and window utilities."""
+
+import pytest
 
 from repro.aig import AIG
+from repro.benchgen import adder_equivalence_miter
 from repro.logic.truthtable import tt_and, tt_eval, tt_var, tt_xor
 from repro.synthesis.cuts import (
-    cone_nodes,
-    cone_truth_table,
     enumerate_cuts,
     reconvergence_cut,
+    window_tables,
 )
 from tests.helpers import random_aig
 
@@ -73,8 +75,22 @@ class TestEnumerateCuts:
             for cut in cuts[var]:
                 if cut.leaves == (var,):
                     continue
-                reference = cone_truth_table(aig, var, cut.leaves)
+                reference = window_tables(aig, var, cut.leaves)[var]
                 assert reference == cut.table
+
+    @pytest.mark.parametrize("max_cuts", [-1, 0, 1])
+    def test_max_cuts_below_two_rejected(self, max_cuts):
+        # Regression: 0 and 1 used to return two cuts per node (the trivial
+        # cut plus one merged cut), over the documented limit.
+        with pytest.raises(ValueError, match="max_cuts"):
+            enumerate_cuts(adder_equivalence_miter(4), k=4, max_cuts=max_cuts)
+
+    def test_max_cuts_two_keeps_one_merged_cut(self):
+        aig = adder_equivalence_miter(4)
+        cuts = enumerate_cuts(aig, k=4, max_cuts=2)
+        for var in aig.and_vars():
+            assert len(cuts[var]) == 2
+            assert cuts[var][0].leaves == (var,)
 
 
 class TestIncludeTrivial:
@@ -129,21 +145,28 @@ class TestReconvergenceCut:
             leaves = reconvergence_cut(aig, var, max_leaves=6)
             assert len(leaves) <= 6
 
-    def test_cone_truth_table_of_leaf_limit_cut(self):
+    def test_window_table_of_leaf_limit_cut(self):
         aig = random_aig(num_pis=6, num_nodes=30, seed=9)
         for var in list(aig.and_vars())[-3:]:
             leaves = reconvergence_cut(aig, var, max_leaves=8)
-            table = cone_truth_table(aig, var, leaves)
+            table = window_tables(aig, var, leaves)[var]
             for minterm in range(1 << len(leaves)):
                 bits = [(minterm >> i) & 1 for i in range(len(leaves))]
                 assert tt_eval(table, bits, len(leaves)) in (True, False)
 
 
-class TestConeNodes:
-    def test_cone_excludes_leaves_includes_root(self):
+class TestWindowTables:
+    def test_window_is_leaves_plus_cone_with_root(self):
         aig, (a, b, c), root = _xor_tree()
         leaves = tuple(sorted([a // 2, b // 2, c // 2]))
-        nodes = cone_nodes(aig, root // 2, leaves)
-        assert root // 2 in nodes
-        assert not set(leaves) & set(nodes)
-        assert len(nodes) == aig.num_ands
+        tables = window_tables(aig, root // 2, leaves)
+        cone = set(tables) - set(leaves)
+        assert root // 2 in cone
+        assert len(cone) == aig.num_ands
+        for position, leaf in enumerate(leaves):
+            assert tables[leaf] == tt_var(position, 3)
+
+    def test_leaves_that_do_not_cut_the_root_rejected(self):
+        aig, (a, b, c), root = _xor_tree()
+        with pytest.raises(ValueError, match="do not cut"):
+            window_tables(aig, root // 2, (a // 2, b // 2))

@@ -4,7 +4,8 @@ The synthesis kernels (truth tables, ISOP, factoring, cuts) may be made
 faster, but never different: each op of the default Ours recipe must produce
 exactly the AIGER text recorded here, on two fixed seeded instances.  A
 change that alters any structure fails this test even when the result is
-still functionally correct.
+still functionally correct.  The LUT mapping of the fully optimised graph is
+pinned the same way, under both the area and the branching cost.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import pytest
 
 from repro.aig.aiger import write_aiger
 from repro.benchgen import adder_equivalence_miter, atpg_instance, random_alu
+from repro.mapping import area_cost, branching_cost, map_aig
 from repro.synthesis import apply_operation
 
 #: (op, sha256 of ``write_aiger`` after the op) along the default Ours
@@ -42,6 +44,21 @@ GOLDEN = {
     ),
 }
 
+#: sha256 of the 4-LUT netlist (every LUT's ``(inputs, table)`` in creation
+#: order, then the POs) that ``map_aig`` builds after the whole recipe.
+GOLDEN_MAPPING = {
+    ("adder_equivalence", "area_cost"):
+        "ffa606642c0183ae42c50955d3de2aa1d8f492933ab92fb7063e3fd1959535e6",
+    ("adder_equivalence", "branching_cost"):
+        "c09ae986760c564021a4dce905237356b7e1d34ce3b2eca1404f7ddaf6b76fc2",
+    ("alu_stuck_at", "area_cost"):
+        "51fd0ae268dd2701823aeda79286fe2605bb8adea9a2ab5c61c77f13c0f30216",
+    ("alu_stuck_at", "branching_cost"):
+        "51143ec10a4200d1fa9079c89d5fc54a15377854660808b922131b8523d3b79c",
+}
+
+COST_FUNCTIONS = {"area_cost": area_cost, "branching_cost": branching_cost}
+
 
 def _digest(aig) -> str:
     return hashlib.sha256(write_aiger(aig).encode()).hexdigest()
@@ -55,3 +72,16 @@ def test_recipe_ops_match_golden_aiger(instance):
         current = apply_operation(current, op)
         assert _digest(current) == expected, \
             f"{instance}: step {index} ({op}) changed its output structure"
+
+
+@pytest.mark.parametrize("instance, cost", sorted(GOLDEN_MAPPING))
+def test_mapping_after_recipe_matches_golden_netlist(instance, cost):
+    build, steps = GOLDEN[instance]
+    aig = build()
+    for op, _ in steps:
+        aig = apply_operation(aig, op)
+    netlist = map_aig(aig, k=4, cost_fn=COST_FUNCTIONS[cost]).netlist
+    text = repr(([(lut.inputs, lut.table) for lut in netlist.luts()], netlist.pos))
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == GOLDEN_MAPPING[instance, cost], \
+        f"{instance}: map_aig with {cost} changed its netlist"
