@@ -3,11 +3,11 @@
 The synthesis operations (:mod:`repro.synthesis.rewrite` and
 :mod:`repro.synthesis.refactor`) resynthesise a cut function by first
 computing an ISOP cover (:mod:`repro.logic.isop`), then factoring it
-algebraically with :func:`factor_cover`, and finally translating the
-factored form into AND/INV nodes.  The factoring used here is the classic
-"quick factor" style: repeatedly divide by the best single-literal divisor.
-It is not optimal but mirrors what fast industrial rewriting does and is
-sufficient to realise meaningful node savings.
+algebraically straight into AND steps with :func:`compile_cover`
+(:func:`factor_cover` builds the same form as a tree).  The factoring used
+here is the classic "quick factor" style: repeatedly divide by the best
+single-literal divisor.  It is not optimal but mirrors what fast industrial
+rewriting does and is sufficient to realise meaningful node savings.
 
 Factoring is bit-sliced: the cover's ``(pos_mask, neg_mask)`` pairs are
 transposed once into one bitset per literal (bit ``i`` set when cube ``i``
@@ -17,12 +17,11 @@ counting a literal is a popcount and dividing by it is two ANDs.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from repro.errors import TruthTableError
 from repro.logic.isop import Cube, cover_to_tt, isop
-from repro.logic.truthtable import TruthTable, tt_mask
+from repro.logic.truthtable import TruthTable
 
 
 @dataclass
@@ -112,19 +111,40 @@ def factor_sop(sop: Sop) -> FactoredNode:
 
 
 def factor_cover(cubes: Sequence[tuple[int, int]]) -> FactoredNode:
-    """Factor a cover given as ``(pos_mask, neg_mask)`` pairs.
+    """Quick-factor a cover given as ``(pos_mask, neg_mask)`` pairs into a tree."""
+    return _quick_factor(cubes, FactoredNode.literal, FactoredNode.conj,
+                         FactoredNode.disj)[0]
 
-    The empty cover is constant 0 and a cover holding the tautology cube
-    ``(0, 0)`` is constant 1.  Anything else is quick-factored: the cover is
-    transposed once by :func:`_literal_columns`, and every subproblem is a
-    bitset of active cubes plus the variables divided out so far, so picking
-    a divisor is one popcount per shared literal and dividing is two ANDs.
+
+def compile_cover(cubes: Sequence[tuple[int, int]], nvars: int,
+                  ) -> tuple[list[tuple[int, int]], int, int]:
+    """Quick-factor a cover straight into AND steps: ``(steps, output, literals)``.
+
+    The steps realise :func:`factor_cover`'s tree without building it:
+    children left to right, each AND/OR level paired up balanced, OR through
+    De Morgan.  Operands are ``2 * slot + complement``: slot 0 is constant 0,
+    slots ``1..nvars`` the variables and slot ``nvars + 1 + i`` step ``i``.
     """
-    if not cubes:
-        return FactoredNode(kind="const0")
-    if (0, 0) in cubes:
-        return FactoredNode(kind="const1")
-    return _factor_columns(cubes, _literal_columns(cubes), (1 << len(cubes)) - 1, 0)
+    steps: list[tuple[int, int]] = []
+    last = 2 * nvars  # the latest step's operand is last + 2 * len(steps)
+
+    def conj(operands: list[int]) -> int:
+        if not operands:
+            return 1
+        while len(operands) > 1:
+            paired = []
+            for i in range(0, len(operands) - 1, 2):
+                steps.append((operands[i], operands[i + 1]))
+                paired.append(last + 2 * len(steps))
+            operands = paired + operands[2 * len(paired):]
+        return operands[0]
+
+    def disj(operands: list[int]) -> int:
+        return conj([operand ^ 1 for operand in operands]) ^ 1
+
+    output, literals = _quick_factor(
+        cubes, lambda var, negated: 2 * var + 2 + negated, conj, disj)
+    return steps, output, literals
 
 
 def _literal_columns(cubes: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -178,76 +198,53 @@ def _most_common_literal(columns: list[tuple[int, int]], active: int,
     return best, shared
 
 
-def _factor_columns(cubes: Sequence[tuple[int, int]],
-                    columns: list[tuple[int, int]], active: int,
-                    divided: int) -> FactoredNode:
-    """Factor the ``active`` cubes, ignoring the ``divided`` variables."""
-    if not active & (active - 1):
-        return _cube_to_node(cubes[active.bit_length() - 1], divided)
+def _quick_factor(cubes: Sequence[tuple[int, int]], literal: Callable,
+                  conj: Callable, disj: Callable) -> tuple[object, int]:
+    """Quick-factor a cover: ``(form, literal count)``.
 
-    divisor, shared = _most_common_literal(columns, active)
-    if divisor is None:
-        # No sharing: a flat OR of cube ANDs.
-        nodes = []
-        while active:
-            low = active & -active
-            nodes.append(_cube_to_node(cubes[low.bit_length() - 1], divided))
-            active ^= low
-        return FactoredNode.disj(nodes)
-
-    key, quotient = divisor
-    var = key >> 1
-    remainder = active ^ quotient
-    divisor_node = FactoredNode("lit", var, bool(key & 1))
-    # Every quotient cube holds the divisor, so its column must not be
-    # picked again below; the opposite literal is in none of them.
-    quotient_columns = [entry for entry in shared if entry[0] != key]
-    quotient_node = _factor_columns(cubes, quotient_columns, quotient,
-                                    divided | 1 << var)
-    product = FactoredNode("and", children=[divisor_node, quotient_node])
-    if not remainder:
-        return product
-    remainder_node = _factor_columns(cubes, shared, remainder, divided)
-    return FactoredNode("or", children=[product, remainder_node])
-
-
-def _cube_to_node(cube: tuple[int, int], divided: int) -> FactoredNode:
-    """Return the AND of ``cube``'s literals outside the ``divided`` variables."""
-    pos_mask, neg_mask = cube
-    pos_mask &= ~divided
-    neg_mask &= ~divided
-    literals = []
-    present = pos_mask | neg_mask
-    while present:
-        low = present & -present
-        literals.append(FactoredNode("lit", low.bit_length() - 1,
-                                     bool(neg_mask & low)))
-        present ^= low
-    return FactoredNode.conj(literals)
-
-
-def factored_to_tt(node: FactoredNode, nvars: int) -> TruthTable:
-    """Evaluate a factored expression tree back into a truth table.
-
-    Used by the test-suite to check that factoring preserves the function.
+    The form is built bottom-up, children left to right, by
+    ``literal(var, negated)``, ``conj(parts)`` and ``disj(parts)``; the empty
+    cover is ``disj([])`` and one holding the tautology cube ``conj([])``.
+    The cover is transposed once by :func:`_literal_columns`, and every
+    subproblem is a bitset of active cubes plus the variables divided out so
+    far, so picking a divisor is one popcount per shared literal and
+    dividing is two ANDs.
     """
-    from repro.logic.truthtable import tt_and, tt_not, tt_or, tt_var
+    def cube(index: int, divided: int):
+        pos_mask, neg_mask = cubes[index]
+        present = (pos_mask | neg_mask) & ~divided
+        parts = []
+        while present:
+            low = present & -present
+            parts.append(literal(low.bit_length() - 1, bool(neg_mask & low)))
+            present ^= low
+        return conj(parts), len(parts)
 
-    if node.kind == "const0":
-        return 0
-    if node.kind == "const1":
-        return tt_mask(nvars)
-    if node.kind == "lit":
-        table = tt_var(node.var, nvars)
-        return tt_not(table, nvars) if node.negated else table
-    if node.kind == "and":
-        result = tt_mask(nvars)
-        for child in node.children:
-            result = tt_and(result, factored_to_tt(child, nvars), nvars)
-        return result
-    if node.kind == "or":
-        result = 0
-        for child in node.children:
-            result = tt_or(result, factored_to_tt(child, nvars), nvars)
-        return result
-    raise TruthTableError(f"unknown factored-node kind: {node.kind}")
+    def factor(columns: list[tuple[int, int]], active: int, divided: int):
+        if not active & (active - 1):
+            return cube(active.bit_length() - 1, divided)
+        divisor, shared = _most_common_literal(columns, active)
+        if divisor is None:
+            # No sharing: a flat OR of cube ANDs.
+            parts, literals = [], 0
+            while active:
+                low = active & -active
+                part, count = cube(low.bit_length() - 1, divided)
+                parts.append(part)
+                literals += count
+                active ^= low
+            return disj(parts), literals
+        key, quotient = divisor
+        # Every quotient cube holds the divisor, so its column must not be
+        # picked again below; the opposite literal is in none of them.
+        part, literals = factor([entry for entry in shared if entry[0] != key],
+                                quotient, divided | 1 << (key >> 1))
+        product = conj([literal(key >> 1, bool(key & 1)), part])
+        if quotient == active:
+            return product, literals + 1
+        part, count = factor(shared, active ^ quotient, divided)
+        return disj([product, part]), literals + 1 + count
+
+    if not cubes or (0, 0) in cubes:
+        return (conj([]) if cubes else disj([])), 0
+    return factor(_literal_columns(cubes), (1 << len(cubes)) - 1, 0)

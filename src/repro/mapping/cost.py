@@ -12,24 +12,24 @@ encoder emits for that LUT, which is why minimising it tracks solver effort.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.logic.isop import isop_cube_count
 from repro.logic.truthtable import tt_mask
+from repro.synthesis import library
 
 
-@lru_cache(maxsize=1 << 18)
 def branching_complexity(table: int, nvars: int) -> int:
     """Return the branching complexity of a LUT function.
 
     The value is ``|ISOP(f)| + |ISOP(!f)|``: the number of fanin cubes that
     justify output 1 plus the number that justify output 0.  Constant
-    functions have complexity 1 (a single trivial "branch").
+    functions have complexity 1 (a single trivial "branch").  Up to four
+    inputs the value is read from :mod:`repro.synthesis.library`.
     """
-    table &= tt_mask(nvars)
-    onset = isop_cube_count(table, nvars)
-    offset = isop_cube_count(~table & tt_mask(nvars), nvars)
-    return max(1, onset + offset)
+    mask = tt_mask(nvars)
+    table &= mask
+    if nvars <= library.MAX_INPUTS:
+        return library.branching(table, nvars)
+    return isop_cube_count(table, nvars) + isop_cube_count(table ^ mask, nvars)
 
 
 def area_cost(table: int, nvars: int) -> float:
@@ -47,9 +47,7 @@ def lut_cost_table(nvars: int, cost_fn=branching_cost) -> dict[int, float]:
     """Enumerate the cost of every ``nvars``-input function.
 
     This mirrors the paper's "enumerate all 4-LUTs and integrate their
-    branching complexity into the cost function" step.  For ``nvars`` up to 3
-    the full table is returned; for 4 inputs the 65 536 functions are also
-    enumerated but the call takes a few seconds, so it is intended for
-    offline precomputation (benchmarks cache the result).
+    branching complexity into the cost function" step; up to four inputs
+    the branching costs are reads of the committed library.
     """
     return {table: cost_fn(table, nvars) for table in range(1 << (1 << nvars))}

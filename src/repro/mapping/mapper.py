@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable
+from functools import cache
 from operator import itemgetter
 
 from repro.aig.aig import AIG, lit_is_complemented, lit_var
@@ -56,11 +57,13 @@ def map_aig(aig: AIG, k: int = 4, cost_fn: CostFunction = area_cost,
     fanout_counts = aig.fanout_counts()
     # Estimated fanout used for cost flow; at least 1 to avoid division by 0.
     est_refs = [max(1, count) for count in fanout_counts]
+    # Cut functions repeat across the netlist: cost each once per call.
+    cost_of = cache(cost_fn)
 
     # Each node's (leaves, cost, cut) candidates, built once for all passes.
     candidates: dict[int, list[tuple[tuple[int, ...], float, Cut]]] = {}
     for var in aig.and_vars():
-        candidates[var] = [(cut.leaves, cost_fn(cut.table, cut.size), cut)
+        candidates[var] = [(cut.leaves, cost_of(cut.table, cut.size), cut)
                            for cut in cuts[var] if cut.leaves != (var,)]
         if not candidates[var]:
             raise MappingError(f"node {var} has no non-trivial cut")
@@ -124,7 +127,7 @@ def map_aig(aig: AIG, k: int = 4, cost_fn: CostFunction = area_cost,
         cut = best_cut[var]
         fanin_ids = [aig_to_lut[leaf] for leaf in cut.leaves]
         aig_to_lut[var] = netlist.add_lut(tuple(fanin_ids), cut.table)
-        total_cost += cost_fn(cut.table, cut.size)
+        total_cost += cost_of(cut.table, cut.size)
 
     for po, po_name in zip(aig.pos, aig.po_names):
         po_var = lit_var(po)

@@ -593,7 +593,7 @@ def default_suite(quick: bool = False) -> list[Benchmark]:
         Benchmark(
             name="synth_rewrite",
             category="synthesis",
-            description=f"rewrite (4-feasible cuts, ISOP + factoring, "
+            description=f"rewrite (4-feasible cuts, library structures, "
                         f"DAG-aware gain counting) on the width-{synth_width} "
                         f"multiplier commutativity miter after balance, as "
                         f"the default Ours recipe reaches it",

@@ -64,19 +64,21 @@ def enumerate_cuts(aig: AIG, k: int = 4, max_cuts: int = 8,
     """Enumerate k-feasible cuts for every variable of ``aig``.
 
     Returns a mapping from variable index to its cut list of at most
-    ``max_cuts`` cuts (``max_cuts`` must be at least 2: the trivial cut plus
-    one merged cut).  Every node's list contains its trivial cut (unless
-    ``include_trivial`` is False, in which case it is still used internally
-    but every unit identity cut — the node's own trivial cut *and* any
-    single-leaf identity cut of an equivalent node — is stripped from the
-    result for AND nodes).  Constant nodes never appear as leaves because the
-    strashed AIG has no AND node with a constant fanin.
+    ``max_cuts`` cuts (``k`` and ``max_cuts`` must be at least 2: two fanins,
+    the trivial cut plus one merged cut).  Every node's list contains its
+    trivial cut (unless ``include_trivial`` is False, in which case it is
+    still used internally but every unit identity cut — the node's own
+    trivial cut *and* any single-leaf identity cut of an equivalent node — is
+    stripped from the result for AND nodes).  Constant nodes never appear as
+    leaves because the strashed AIG has no AND node with a constant fanin.
 
     Merged cuts are ranked and filtered by leaf set alone — size first, then
     the sorted leaves, dropping any cut whose leaves contain a kept cut's —
     and truth tables are computed only for the ``max_cuts - 1`` survivors.
     Table expansions repeat across nodes, so they are memoised for the call.
     """
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
     if max_cuts < 2:
         raise ValueError(f"max_cuts must be at least 2, got {max_cuts}")
     limit = max_cuts - 1

@@ -14,6 +14,7 @@ from collections.abc import Callable, Sequence
 
 from repro.aig.aig import AIG
 from repro.errors import SynthesisError
+from repro.obs import get_tracer
 from repro.synthesis.balance import balance
 from repro.synthesis.cleanup import cleanup
 from repro.synthesis.refactor import refactor
@@ -83,10 +84,14 @@ def apply_operation(aig: AIG, name: str) -> AIG:
 
 
 def apply_recipe(aig: AIG, recipe: Sequence[str]) -> AIG:
-    """Apply a sequence of named operations and return the final AIG."""
+    """Apply named operations in turn, each in a ``recipe.<operation>`` span."""
+    tracer = get_tracer()
     current = aig
     for name in recipe:
-        current = apply_operation(current, name)
+        with tracer.span(f"recipe.{canonical_operation(name)}",
+                         ands_in=current.num_ands) as span:
+            current = apply_operation(current, name)
+            span.set(ands_out=current.num_ands)
     return current
 
 

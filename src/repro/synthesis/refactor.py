@@ -29,8 +29,11 @@ def refactor(aig: AIG, max_leaves: int = 10, min_cone_size: int = 3,
     ``max_leaves`` bounds the reconvergence-driven cut size (the collapsed
     truth table has ``2**max_leaves`` bits, so 10-12 is a practical limit);
     cones freeing fewer than ``min_cone_size`` nodes are not even evaluated,
-    which keeps the operation fast on large netlists.
+    which keeps the operation fast on large netlists.  ``max_leaves`` must be
+    at least 2: no smaller window holds an AND node.
     """
+    if max_leaves < 2:
+        raise ValueError(f"max_leaves must be at least 2, got {max_leaves}")
     fanout_counts = aig.fanout_counts()
     pass_state = ReplacementPass(aig)
     graph = pass_state.aig

@@ -4,8 +4,9 @@ Both rewriting and refactoring follow the same template:
 
 1. pick a cut of a node and obtain the node's function over the cut leaves;
 2. resynthesise that function into a (hopefully smaller) AND/INV structure
-   via ISOP + algebraic factoring, compiled once per function into a flat
-   :class:`AndProgram`;
+   via ISOP + algebraic factoring, compiled straight into a flat
+   :class:`AndProgram` (functions of at most four inputs are read from the
+   committed :mod:`repro.synthesis.library` instead);
 3. estimate the *gain*: the number of AND nodes of the original cone that
    would become dangling (:meth:`AIG.mffc_size` bounded by the cut leaves),
    minus the number of genuinely new AND nodes the replacement structure
@@ -23,36 +24,9 @@ from dataclasses import dataclass
 
 from repro.aig.aig import AIG, CONST0, lit_is_complemented, lit_not, lit_var
 from repro.logic.isop import isop_pairs
-from repro.logic.sop import FactoredNode, factor_cover
+from repro.logic.sop import compile_cover
 from repro.logic.truthtable import tt_mask, tt_support
-
-
-def factored_form(table: int, nvars: int) -> FactoredNode:
-    """Return a factored expression tree realising ``table`` over ``nvars`` inputs.
-
-    Both polarities are factored and the cheaper one is kept (the complement
-    is realised by a top-level inversion, which is free in an AIG).  The
-    complement only wins with strictly fewer literals, so it is not factored
-    when a lower bound on its count already rules that out: every factored
-    form has a literal per support variable, and quick-factoring keeps every
-    distinct literal of the cover it divides.
-    """
-    positive = factor_cover(isop_pairs(table, table, nvars))
-    positive_literals = positive.literal_count()
-    if positive_literals <= len(tt_support(table, nvars)):
-        return positive
-    complement = ~table & tt_mask(nvars)
-    negative_cubes = isop_pairs(complement, complement, nvars)
-    pos_union = neg_union = 0
-    for pos_mask, neg_mask in negative_cubes:
-        pos_union |= pos_mask
-        neg_union |= neg_mask
-    if positive_literals <= pos_union.bit_count() + neg_union.bit_count():
-        return positive
-    negative = factor_cover(negative_cubes)
-    if negative.literal_count() < positive_literals:
-        return FactoredNode(kind="not", children=[negative])
-    return positive
+from repro.synthesis import library
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,55 +45,43 @@ class AndProgram:
     output: int
 
 
-def compile_factored(tree: FactoredNode, nvars: int) -> AndProgram:
-    """Compile ``tree`` over ``nvars`` leaves into an :class:`AndProgram`.
+def compile_structure(table: int, nvars: int) -> AndProgram:
+    """Return the factored structure realising ``table`` over ``nvars`` inputs.
 
-    AND/OR nodes become balanced AND trees, OR through De Morgan; constants
-    and inversions become operand complement bits.
+    Of both quick-factored polarities the one with fewer literals is kept (an
+    inverted output is free).  The complement is skipped when a lower bound
+    rules it out: a factored form has a literal per support variable, and
+    quick-factoring keeps every distinct literal of the cover it divides.
     """
-    steps: list[tuple[int, int]] = []
-    first_step_slot = nvars + 1
-
-    def emit(node: FactoredNode) -> int:
-        kind = node.kind
-        if kind == "lit":
-            return 2 * (node.var + 1) + node.negated
-        if kind == "const0":
-            return 0
-        if kind == "const1":
-            return 1
-        if kind == "not":
-            return emit(node.children[0]) ^ 1
-        if kind not in ("and", "or"):
-            raise ValueError(f"unknown factored-node kind {kind!r}")
-        flip = kind == "or"
-        operands = [emit(child) ^ flip for child in node.children]
-        while len(operands) > 1:
-            paired = []
-            for i in range(0, len(operands) - 1, 2):
-                steps.append((operands[i], operands[i + 1]))
-                paired.append(2 * (first_step_slot + len(steps) - 1))
-            if len(operands) % 2:
-                paired.append(operands[-1])
-            operands = paired
-        return operands[0] ^ flip
-
-    output = emit(tree)
-    return AndProgram(steps=tuple(steps), output=output)
+    steps, output, literals = compile_cover(isop_pairs(table, table, nvars), nvars)
+    if literals > len(tt_support(table, nvars)):
+        complement = ~table & tt_mask(nvars)
+        negative_cubes = isop_pairs(complement, complement, nvars)
+        pos_union = neg_union = 0
+        for pos_mask, neg_mask in negative_cubes:
+            pos_union |= pos_mask
+            neg_union |= neg_mask
+        if literals > pos_union.bit_count() + neg_union.bit_count():
+            negative, negative_output, negative_literals = compile_cover(
+                negative_cubes, nvars)
+            if negative_literals < literals:
+                return AndProgram(tuple(negative), negative_output ^ 1)
+    return AndProgram(tuple(steps), output)
 
 
 def resynthesis_program(cache: dict[tuple[int, int], AndProgram], table: int,
                         nvars: int) -> AndProgram:
     """Return the compiled structure for ``table``, memoised in ``cache``.
 
-    ``cache`` belongs to one operator call: cut functions repeat across a
-    netlist, so each is factored and compiled once per call.
+    ``cache`` belongs to one operator call: each cut function is read from
+    the library (up to four inputs) or compiled once per call.
     """
     key = (nvars, table)
     program = cache.get(key)
     if program is None:
-        program = compile_factored(factored_form(table, nvars), nvars)
-        cache[key] = program
+        program = cache[key] = (AndProgram(*library.program(table, nvars))
+                                if nvars <= library.MAX_INPUTS
+                                else compile_structure(table, nvars))
     return program
 
 
@@ -192,16 +154,15 @@ class ReplacementPass:
         self._substitution: dict[int, int] = {}
 
     def resolve(self, literal: int) -> int:
-        """Return the current replacement literal for ``literal``."""
+        """Return the current replacement literal for ``literal``.
+
+        Chains end: :meth:`replace` only ever points at an unreplaced node.
+        """
         var = literal >> 1
         if var not in self._substitution:
             return literal
         complemented = lit_is_complemented(literal)
-        seen = set()
         while var in self._substitution:
-            if var in seen:
-                break
-            seen.add(var)
             target = self._substitution[var]
             complemented ^= lit_is_complemented(target)
             var = lit_var(target)
@@ -219,10 +180,6 @@ class ReplacementPass:
         if lit_var(resolved) == var:
             return
         self._substitution[var] = resolved
-
-    @property
-    def num_replacements(self) -> int:
-        return len(self._substitution)
 
     def finalize(self) -> AIG:
         """Apply all substitutions and return a cleaned-up AIG.

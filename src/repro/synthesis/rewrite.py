@@ -1,9 +1,10 @@
 """DAG-aware cut rewriting (the ``rewrite`` action).
 
-For every AND node the engine enumerates its 4-feasible cuts, resynthesises
-each cut function with ISOP + algebraic factoring (caching the result per
-truth table, in the spirit of ABC's pre-computed NPN library) and replaces
-the node whenever the replacement adds fewer AND nodes than it frees.  Gain
+For every AND node the engine enumerates its 4-feasible cuts, looks up each
+cut function's ISOP + algebraically factored structure in the committed
+:mod:`repro.synthesis.library` (like ABC's ``rewrite``, which never factors
+at run time but reads a library computed in advance) and replaces the node
+whenever the replacement adds fewer AND nodes than it frees.  Gain
 accounting is DAG-aware: structures already present in the strash table are
 free, and only the fanout-free part of the old cone counts as freed.
 """

@@ -12,6 +12,9 @@ from repro.core import (
     run_pipeline,
 )
 from repro.core.results import RunSet
+from repro.obs import Tracer, use_tracer
+from repro.obs.merge import spans_of
+from repro.obs.report import summarize
 from repro.sat import cadical_like, kissat_like, solve_cnf
 
 
@@ -79,6 +82,25 @@ class TestRunPipeline:
             instance = builder()
             statuses = {run_pipeline(instance, name).status for name in PIPELINES}
             assert len(statuses) == 1
+
+    def test_traced_run_has_a_span_per_recipe_op(self):
+        aig = _unsat_instance()
+        recipe = ["balance", "rw", "refactor"]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            run_pipeline(aig, "Ours", pipeline_kwargs={"recipe": recipe})
+        tracer.close()
+        spans = spans_of(tracer.records)
+        (parent,) = [span for span in spans if span["name"] == "recipe"]
+        ops = [span for span in spans if span["name"].startswith("recipe.")]
+        assert [span["name"] for span in ops] \
+            == ["recipe.balance", "recipe.rewrite", "recipe.refactor"]
+        assert all(span["parent"] == parent["id"] for span in ops)
+        ands = [aig.num_ands] + [span["attrs"]["ands_out"] for span in ops]
+        assert [span["attrs"]["ands_in"] for span in ops] == ands[:-1]
+        assert ands[-1] == parent["attrs"]["nodes"]
+        stages = {stage.name for stage in summarize(tracer.records).stages}
+        assert {"recipe.balance", "recipe.rewrite", "recipe.refactor"} <= stages
 
 
 class TestPipelineComparison:

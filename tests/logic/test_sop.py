@@ -3,8 +3,30 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.sop import FactoredNode, Sop, factor_sop, factored_to_tt
-from repro.logic.truthtable import tt_and, tt_mask, tt_or, tt_var, tt_xor
+from repro.logic.sop import FactoredNode, Sop, factor_sop
+from repro.logic.truthtable import tt_and, tt_mask, tt_not, tt_or, tt_var, tt_xor
+
+
+def factored_to_tt(node: FactoredNode, nvars: int) -> int:
+    """Evaluate a factored expression tree back into a truth table."""
+    if node.kind == "const0":
+        return 0
+    if node.kind == "const1":
+        return tt_mask(nvars)
+    if node.kind == "lit":
+        table = tt_var(node.var, nvars)
+        return tt_not(table, nvars) if node.negated else table
+    if node.kind == "and":
+        result = tt_mask(nvars)
+        for child in node.children:
+            result = tt_and(result, factored_to_tt(child, nvars), nvars)
+        return result
+    if node.kind == "or":
+        result = 0
+        for child in node.children:
+            result = tt_or(result, factored_to_tt(child, nvars), nvars)
+        return result
+    raise ValueError(f"unknown factored-node kind: {node.kind}")
 
 
 class TestSop:

@@ -85,6 +85,13 @@ class TestEnumerateCuts:
         with pytest.raises(ValueError, match="max_cuts"):
             enumerate_cuts(adder_equivalence_miter(4), k=4, max_cuts=max_cuts)
 
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_k_below_two_rejected(self, k):
+        # Regression: 0 and 1 used to return only trivial cuts, so rewrite
+        # with such a cut size silently did nothing but clean up.
+        with pytest.raises(ValueError, match="k must be"):
+            enumerate_cuts(adder_equivalence_miter(4), k=k)
+
     def test_max_cuts_two_keeps_one_merged_cut(self):
         aig = adder_equivalence_miter(4)
         cuts = enumerate_cuts(aig, k=4, max_cuts=2)

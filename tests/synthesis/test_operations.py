@@ -133,6 +133,16 @@ class TestQuality:
         assert functionally_equivalent(aig, resubbed)
         assert resubbed.num_ands <= aig.num_ands
 
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_cut_sizes_below_two_rejected(self, size):
+        # Regression: these sizes used to return a cleaned copy with no
+        # error, the operator having found no cut to work on.
+        aig = random_aig(num_pis=6, num_nodes=30, seed=21)
+        with pytest.raises(ValueError, match="k must be"):
+            rewrite(aig, cut_size=size)
+        with pytest.raises(ValueError, match="max_leaves"):
+            refactor(aig, max_leaves=size)
+
     def test_operations_never_lose_interface(self):
         aig = random_aig(num_pis=6, num_nodes=30, seed=21)
         for operation in ALL_OPERATIONS:
